@@ -149,12 +149,8 @@ def _cmd_search(args):
         mode = SymmetryMode.FIX_FIRST_LABEL
     else:
         mode = SymmetryMode.NONE
-    rep = noncordial_orientations(g, mode, jobs=args.jobs, descriptor=args.source)
-    inputs = {
-        "source": args.source,
-        "symmetry": mode.value,
-        "jobs": args.jobs,
-    }
+    rep = noncordial_orientations(g, mode, descriptor=args.source)
+    inputs = {"source": args.source, "symmetry": mode.value}
     verdicts = {
         "orientations_scanned": rep.total_orientations_scanned,
         "noncordial_count": len(rep.noncordial),
@@ -280,12 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="file, '-' for stdin, or generator NAME[:N]")
     p.add_argument("--fix-first-arc", action="store_true", help="pin orientation bit 0")
     p.add_argument("--fix-first-label", action="store_true", help="pin vertex 0's label")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("CORDIAL_JOBS", "1")),
-        help="worker processes (default $CORDIAL_JOBS or 1)",
-    )
 
     p = add("gen", _cmd_gen, "print a named graph in edge-list format", json_flag=False)
     p.add_argument(

@@ -4,20 +4,20 @@ census routines (alternating-path scan, tournament survey).
 
 Orientation enumeration is ascending over the bit-vector integers; arc
 reversal symmetry pins bit 0 to 0 and halves the range, complement
-symmetry pins vertex 0's label to 0 and halves the labeling scan.
-Parallel scans partition the orientation counter into contiguous integer
-ranges, so results are independent of worker count.
+symmetry pins vertex 0's label to 0 and halves the labeling scan.  The
+orientation census enumerates labelings once per graph, not once per
+orientation: see ``noncordial_orientations``.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from concurrent.futures import ProcessPoolExecutor
+import weakref
 from dataclasses import dataclass
 from typing import Iterator
 
-from .engine import _first_balanced_mask, _friendly_masks
+from .engine import _friendly_masks
 from .graphs import (
     Digraph,
     Graph,
@@ -39,10 +39,6 @@ class SymmetryMode(enum.Enum):
     @property
     def fix_arc(self) -> bool:
         return self in (SymmetryMode.FIX_FIRST_ARC, SymmetryMode.BOTH)
-
-    @property
-    def fix_label(self) -> bool:
-        return self in (SymmetryMode.FIX_FIRST_LABEL, SymmetryMode.BOTH)
 
 
 def friendly_labelings(
@@ -82,19 +78,44 @@ class SearchReport:
     wall_time: float
 
 
-def _scan_chunk(args: tuple) -> list[int]:
-    """Scan one contiguous range of orientation integers; return failures."""
-    n, edges, start, stop, step, fix_label = args
-    masks = list(_friendly_masks(n, fix_label))
-    failures = []
+def _window_triples(graph: Graph) -> list[tuple[int, int, frozenset[int]]]:
+    """Distinct (P, B, allowed alphas) of the friendly labelings, vertex 0
+    pinned to 0, that can certify some orientation.
+
+    A triple summing to m is balanced exactly when each count lies in the
+    window {floor(m/3), ceil(m/3)}.  B marks the bichromatic edges, so
+    lambda = m - |B| must be in it; P marks those whose u -> v arc is +1,
+    so orientation o gets alpha = popcount((o ^ P) & B).
+    """
+    edges = graph.edges
     m = len(edges)
-    for bits in range(start, stop, step):
-        arcs = tuple(
-            (v, u) if (bits >> j) & 1 else (u, v) for j, (u, v) in enumerate(edges)
-        )
-        if _first_balanced_mask(arcs, masks) is None:
-            failures.append(bits)
-    return failures
+    window = {m // 3, (m + 2) // 3}
+    pairs = set()
+    for mask in _friendly_masks(graph.vertex_count, fix_first=True):
+        bi = plus = 0
+        for j, (u, v) in enumerate(edges):
+            if ((mask >> u) ^ (mask >> v)) & 1:
+                bi |= 1 << j
+                plus |= ((mask >> v) & 1) << j
+        if m - bi.bit_count() in window:
+            pairs.add((plus, bi))
+    return [
+        (plus, bi, frozenset(a for a in window if bi.bit_count() - a in window))
+        for plus, bi in pairs
+    ]
+
+
+def _failing_bits(graph: Graph, step: int) -> Iterator[int]:
+    """Every step-th orientation, ascending, that no window triple certifies."""
+    triples = _window_triples(graph)
+    return (
+        bits
+        for bits in range(0, 1 << graph.edge_count, step)
+        if not any(((bits ^ p) & b).bit_count() in a for p, b, a in triples)
+    )
+
+
+_live_reports = weakref.WeakValueDictionary()
 
 
 def noncordial_orientations(
@@ -105,37 +126,33 @@ def noncordial_orientations(
 ) -> SearchReport:
     """Enumerate orientations and collect those with no cordial labeling.
 
-    Failures are listed in ascending bit-vector order regardless of the
-    worker count.
+    Every orientation's 0-arc count is the labeling's monochromatic count
+    lambda, so only labelings with lambda in {floor(m/3), ceil(m/3)} can
+    certify any orientation; they are reduced once per graph to
+    ``_window_triples``, and a graph without triples fails everywhere.
+    Pinning vertex 0's label is exact: a labeling and its complement
+    share B and lambda, and complementing maps alpha to |B| - alpha,
+    under which the allowed set is closed.  So only the arc pin changes
+    the result.  Failures are ascending; ``jobs`` is accepted and ignored.
     """
     n = graph.vertex_count
-    edges = graph.edges
-    m = len(edges)
-    jobs = 1 if jobs is None else max(1, jobs)
+    m = graph.edge_count
     t0 = time.perf_counter()
     step = 2 if symmetry.fix_arc and m > 0 else 1
-    hi = 1 << m
-    total = (hi + step - 1) // step
-    if jobs == 1 or total < 4096:
-        failing = _scan_chunk((n, edges, 0, hi, step, symmetry.fix_label))
-    else:
-        per = (total + jobs - 1) // jobs
-        chunks = []
-        for k in range(jobs):
-            start = min(k * per, total) * step
-            stop = min((k + 1) * per, total) * step
-            if start < stop:
-                chunks.append((n, edges, start, stop, step, symmetry.fix_label))
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(_scan_chunk, chunks))
-        failing = sorted(bits for part in parts for bits in part)
+    noncordial = tuple(Orientation(graph, bits) for bits in _failing_bits(graph, step))
+    # Equal censuses share one failure tuple while a report holding it is
+    # alive, so kept repeats hold one copy (Petersen lists 2^14, 2 MB).
+    last = _live_reports.get((graph, step))
+    if last is not None and last.noncordial == noncordial:
+        noncordial = last.noncordial
     report = SearchReport(
         graph_descriptor=descriptor or f"graph(n={n},m={m})",
-        total_orientations_scanned=total,
-        noncordial=tuple(Orientation(graph, bits) for bits in failing),
+        total_orientations_scanned=(1 << m) // step,
+        noncordial=noncordial,
         symmetry_mode=symmetry,
         wall_time=time.perf_counter() - t0,
     )
+    _live_reports[(graph, step)] = report
     return report
 
 
@@ -234,14 +251,5 @@ def tournament_survey(n: int) -> TournamentSurvey:
     if not 1 <= n <= 6:
         raise ValueError("tournament survey supports 1 <= n <= 6")
     g = complete_graph(n)
-    edges = g.edges
-    m = len(edges)
-    masks = list(_friendly_masks(n, fix_first=True))
-    noncordial = 0
-    for bits in range(1 << m):
-        arcs = tuple(
-            (v, u) if (bits >> j) & 1 else (u, v) for j, (u, v) in enumerate(edges)
-        )
-        if _first_balanced_mask(arcs, masks) is None:
-            noncordial += 1
-    return TournamentSurvey(n=n, total=1 << m, noncordial_count=noncordial)
+    noncordial = sum(1 for _ in _failing_bits(g, 1))
+    return TournamentSurvey(n=n, total=1 << g.edge_count, noncordial_count=noncordial)

@@ -103,6 +103,17 @@ class TestSearch:
         assert "orientations_scanned: 256" in out
         assert "010101010" in out
 
+    def test_worker_count_variable_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("CORDIAL_JOBS", "abc")
+        for argv in (["bounds", "6"], ["search", "path:6"]):
+            code, out, err = invoke(argv)
+            assert (code, err) == (0, "")
+            assert "jobs" not in out
+
+    def test_jobs_option_is_gone(self):
+        code, _, _ = invoke(["search", "path:6", "--jobs", "2"])
+        assert code == 2
+
 
 class TestScanAndSurveys:
     def test_scan_alternating(self):

@@ -1,12 +1,16 @@
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cordial import (
     Digraph,
     Graph,
     SymmetryMode,
     alternating_path,
+    complete_graph,
     friendly_labelings,
     gamma_triple,
     is_balanced_triple,
@@ -17,6 +21,7 @@ from cordial import (
     orientations,
     path_cordial_dp,
     path_graph,
+    petersen_graph,
     scan_alternating_paths,
     tournament_survey,
 )
@@ -111,20 +116,13 @@ class TestNoncordialOrientations:
         for o in noncordial_orientations(g).noncordial:
             assert is_cordial(orient(g, o)) is None
 
-    def test_parallel_matches_serial(self):
-        g = path_graph(8)
-        serial = noncordial_orientations(g, SymmetryMode.NONE, jobs=1)
-        # force the pool path despite the small census
-        import cordial.search as search_mod
-
-        chunks = [
-            (8, g.edges, 0, 64, 1, False),
-            (8, g.edges, 64, 128, 1, False),
-        ]
-        parallel = sorted(
-            b for part in map(search_mod._scan_chunk, chunks) for b in part
-        )
-        assert [o.bits for o in serial.noncordial] == parallel
+    def test_kept_repeats_share_one_failure_tuple(self):
+        g = petersen_graph()
+        both = noncordial_orientations(g, SymmetryMode.BOTH)
+        arc = noncordial_orientations(g, SymmetryMode.FIX_FIRST_ARC)
+        full = noncordial_orientations(g, SymmetryMode.NONE)
+        assert arc.noncordial is both.noncordial
+        assert len(full.noncordial) == 2 * len(both.noncordial) == 1 << 15
 
     def test_jobs_argument_deterministic(self):
         g = path_graph(13)
@@ -132,6 +130,55 @@ class TestNoncordialOrientations:
         b = noncordial_orientations(g, SymmetryMode.FIX_FIRST_ARC, jobs=3)
         assert [o.bits for o in a.noncordial] == [o.bits for o in b.noncordial]
         assert a.total_orientations_scanned == b.total_orientations_scanned == 2048
+
+
+def _rescan_failures(g):
+    """Oracle: every orientation checked on its own through is_cordial."""
+    return [o.bits for o in orientations(g) if is_cordial(orient(g, o)) is None]
+
+
+def _assert_matches_rescan(g):
+    failures = set(_rescan_failures(g))
+    for mode in SymmetryMode:
+        pin_arc = mode in (SymmetryMode.FIX_FIRST_ARC, SymmetryMode.BOTH)
+        scanned = [o.bits for o in orientations(g, fix_first_arc=pin_arc)]
+        rep = noncordial_orientations(g, mode)
+        assert rep.total_orientations_scanned == len(scanned)
+        assert [o.bits for o in rep.noncordial] == [b for b in scanned if b in failures]
+        assert noncordial_orientations(g, mode, jobs=2).noncordial == rep.noncordial
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.sets(st.sampled_from(pairs), max_size=12)) if pairs else set()
+    return Graph(n, tuple(sorted(chosen)))
+
+
+class TestWindowCensusAgainstRescan:
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs())
+    def test_random_graphs(self, g):
+        _assert_matches_rescan(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [Graph(4, ()), complete_graph(4), complete_graph(6), path_graph(10)],
+        ids=["empty", "K4", "K6", "P10"],
+    )
+    def test_fixed_graphs(self, g):
+        _assert_matches_rescan(g)
+
+    def test_k6_fails_every_orientation(self):
+        rep = noncordial_orientations(complete_graph(6))
+        assert [o.bits for o in rep.noncordial] == list(range(1 << 15))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_tournament_counts(self, n):
+        survey = tournament_survey(n)
+        assert survey.total == 1 << comb(n, 2)
+        assert survey.noncordial_count == len(_rescan_failures(complete_graph(n)))
 
 
 class TestPathDp:
