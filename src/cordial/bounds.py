@@ -7,8 +7,11 @@ remaining Z = C(ceil(n/2),2) + C(floor(n/2),2) edges are forced
 monochromatic whatever the labeling, which certifies K_n non-orientable
 for n >= 6.  A balanced triple also caps the monochromatic count at one
 more than the smaller bichromatic count, which gives the exact edge
-ceiling max_edges.  verify_bound checks the ceiling exhaustively at
-desk scale and produces a constructive tightness witness.
+ceiling max_edges.  That formula and bichromatic_capacity live in
+graphs, beside tight_bound_graph, so the engine can answer graphs above
+the ceiling without importing this module.  verify_bound checks the
+ceiling exhaustively at desk scale and produces a constructive tightness
+witness.
 """
 
 from __future__ import annotations
@@ -17,8 +20,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .engine import OrientabilityWitness, is_orientable
-from .graphs import Graph, complete_graph, tight_bound_graph
+from .engine import OrientabilityWitness, _witness_scan
+from .graphs import (
+    Graph,
+    bichromatic_capacity,
+    complete_graph,
+    max_edges,
+    tight_bound_graph,
+)
 
 
 def z_value(n: int) -> int:
@@ -26,35 +35,6 @@ def z_value(n: int) -> int:
     if n < 2:
         raise ValueError("need n >= 2")
     return comb((n + 1) // 2, 2) + comb(n // 2, 2)
-
-
-def bichromatic_capacity(n: int) -> int:
-    """Largest possible number of bichromatic edges under a friendly labeling."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return ((n + 1) // 2) * (n // 2)
-
-
-def max_edges(n: int) -> int:
-    """Edge-count ceiling for (2,3)-orientable graphs on n vertices.
-
-    With cap = C(n,2) - Z bichromatic edges at most, a balanced triple
-    (alpha, beta, lambda) has alpha + beta <= cap and
-    lambda <= min(alpha, beta) + 1 <= floor(cap/2) + 1, so an orientable
-    graph has m <= cap + floor(cap/2) + 1 = floor((3*cap + 2)/2) edges.
-    tight_bound_graph meets this value, so it is exact.  It is clamped to
-    C(n,2), which binds only below n = 6 where K_n is orientable.
-
-    The value is one more than cap + ceil(cap/2) whenever cap is even,
-    i.e. for every n except n = 2 (mod 4): 19 rather than 18 at n = 7,
-    where every K_7 minus two edges is orientable.  Stated for n >= 6;
-    smaller n are computed anyway and flagged by
-    BoundsRecord.in_stated_range.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    cap = bichromatic_capacity(n)
-    return min(comb(n, 2), cap + cap // 2 + 1)
 
 
 def complete_graph_zero_excess(n: int) -> bool:
@@ -105,9 +85,11 @@ def verify_bound(n: int) -> BoundCheckReport:
     """Exhaustively test the e_max ceiling on n vertices.
 
     Every labeled graph with more than max_edges(n) edges is run through
-    the orientability check; any that comes back orientable is collected
-    as a violation.  The tight-bound construction at exactly max_edges(n)
-    edges is checked for a witness.  Guarded to 6 <= n <= 7, where the
+    the labeling scan of the orientability check, never through its
+    edge-count certificate, which would assume the ceiling under test;
+    any that comes back orientable is collected as a violation.  The
+    tight-bound construction at exactly max_edges(n) edges is checked
+    for a witness.  Guarded to 6 <= n <= 7, where the
     census sizes stay tiny.
     """
     if not 6 <= n <= 7:
@@ -120,9 +102,9 @@ def verify_bound(n: int) -> BoundCheckReport:
         for combo in combinations(all_edges, m):
             checked += 1
             g = Graph(n, combo)
-            if is_orientable(g) is not None:
+            if _witness_scan(g) is not None:
                 violations.append(g)
-    tight = is_orientable(tight_bound_graph(n))
+    tight = _witness_scan(tight_bound_graph(n))
     return BoundCheckReport(
         n=n,
         graphs_checked=checked,

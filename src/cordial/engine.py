@@ -13,12 +13,21 @@ Labeling scans are halved by complement symmetry: flipping every vertex
 label swaps the +1 and -1 arc counts, so vertex 0 can be pinned to label
 0 without changing any verdict.  Reported witnesses are therefore
 normalized to label vertex 0 with 0.
+
+Every scan reads one kernel, ``_labelings``.  It lists the label-1
+subsets of the low half of the vertices once per call, with the XORs of
+their incidence and head masks, walks the high half's subsets in
+ascending order the same way, and joins each to the low subsets of
+fitting size, so each friendly labeling costs one XOR and no per-edge
+loop.  Only the low list is stored: 2^(ceil(n/2) - 1) tuples with vertex
+0 pinned, 0.16 MB at n = 22 and 22 MB at n = 36 (tracemalloc).  Inputs
+with more edges than ``max_edges(n)`` are not scanned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .graphs import (
     Digraph,
@@ -26,6 +35,7 @@ from .graphs import (
     Graph,
     Orientation,
     VertexLabeling,
+    max_edges,
     orient,
 )
 
@@ -83,53 +93,48 @@ def lambda_count(graph: Graph, labeling: VertexLabeling) -> int:
     )
 
 
-def _friendly_masks(n: int, fix_first: bool = False) -> Iterator[int]:
-    """All friendly labeling bitmasks of n vertices in ascending order.
+def _labelings(
+    n: int, pairs: tuple[tuple[int, int], ...], pin: bool = True
+) -> Iterator[tuple[int, int, int]]:
+    """(mask, B, P) of each friendly labeling of n vertices, ascending.
 
-    With fix_first, vertex 0 is pinned to label 0, which keeps exactly
+    B marks the pairs (t, h) whose ends differ in label and P those of B
+    with h labeled 1, so arcs ``pairs`` get alpha = |P|, beta = |B| - |P|
+    and gamma_0 = lambda = m - |B|.  pin labels vertex 0 with 0, keeping
     one labeling of each complement pair.
     """
-    counts = {n // 2, (n + 1) // 2}
-    for mask in range(1 << n):
-        if fix_first and mask & 1:
-            continue
-        if mask.bit_count() in counts:
-            yield mask
+    incident = [0] * n
+    head = [0] * n
+    for j, (t, h) in enumerate(pairs):
+        incident[t] ^= 1 << j
+        incident[h] ^= 1 << j
+        head[h] ^= 1 << j
 
+    def subsets(vertices: range) -> Iterator[tuple[int, int, int]]:
+        # flips[i] XORs the first i vertices; the k-th subset in ascending
+        # order differs from the (k-1)-th in the first (k & -k).bit_length().
+        flips = [(0, 0, 0)]
+        for v in vertices:
+            mask, b, hh = flips[-1]
+            flips.append((mask | 1 << v, b ^ incident[v], hh ^ head[v]))
+        mask = b = hh = 0
+        for k in range(1 << len(vertices)):
+            if k:
+                fm, fb, fh = flips[(k & -k).bit_length()]
+                mask, b, hh = mask ^ fm, b ^ fb, hh ^ fh
+            yield mask, b, hh
 
-def _first_balanced_mask(
-    arcs: tuple[tuple[int, int], ...], masks: Iterable[int]
-) -> int | None:
-    """First labeling mask whose induced arc-label counts are balanced.
-
-    Aborts a labeling as soon as any count exceeds ceil(m/3), which no
-    balanced triple summing to m can contain.
-    """
-    m = len(arcs)
-    cap = (m + 2) // 3
-    for mask in masks:
-        alpha = beta = zero = 0
-        ok = True
-        for t, h in arcs:
-            d = ((mask >> h) & 1) - ((mask >> t) & 1)
-            if d > 0:
-                alpha += 1
-                if alpha > cap:
-                    ok = False
-                    break
-            elif d < 0:
-                beta += 1
-                if beta > cap:
-                    ok = False
-                    break
-            else:
-                zero += 1
-                if zero > cap:
-                    ok = False
-                    break
-        if ok and max(alpha, beta, zero) - min(alpha, beta, zero) <= 1:
-            return mask
-    return None
+    half = (n + 1) // 2
+    lows = list(subsets(range(1 if pin else 0, half)))
+    sizes = {n // 2, (n + 1) // 2}
+    fitting = [
+        [low for low in lows if low[0].bit_count() + k in sizes]
+        for k in range(n - half + 1)
+    ]
+    for mh, bh, hh in subsets(range(half, n)):
+        for ml, bl, hl in fitting[mh.bit_count()]:
+            b = bh ^ bl
+            yield mh | ml, b, b & (hh ^ hl)
 
 
 @dataclass(frozen=True)
@@ -153,16 +158,23 @@ def is_cordial(digraph: Digraph) -> LabelingReport | None:
 
     Returns the report of the first witness in ascending labeling-mask
     order (vertex 0 pinned to label 0), or None when the digraph is not
-    (2,3)-cordial.
+    (2,3)-cordial, without a scan when it has more arcs than max_edges(n).
+    A triple summing to m is balanced iff each count is in the window.
     """
     n = digraph.vertex_count
-    mask = _first_balanced_mask(digraph.arcs, _friendly_masks(n, fix_first=True))
-    if mask is None:
+    m = digraph.arc_count
+    if n >= 2 and m > max_edges(n):
         return None
-    labeling = VertexLabeling(n, mask)
-    return LabelingReport(
-        labeling=labeling, verdict=True, gamma=gamma_triple(digraph, labeling)
-    )
+    window = {m // 3, (m + 2) // 3}
+    for mask, bi, plus in _labelings(n, digraph.arcs):
+        k = bi.bit_count()
+        alpha = plus.bit_count()
+        if m - k in window and alpha in window and k - alpha in window:
+            labeling = VertexLabeling(n, mask)
+            return LabelingReport(
+                labeling=labeling, verdict=True, gamma=gamma_triple(digraph, labeling)
+            )
+    return None
 
 
 @dataclass(frozen=True)
@@ -228,21 +240,22 @@ def is_orientable(graph: Graph) -> OrientabilityWitness | None:
 
     Scans friendly labelings (vertex 0 pinned to 0) in ascending mask
     order; the first one whose monochromatic edge count lands in the
-    balanced window yields the witness.
+    balanced window yields the witness.  A graph with more edges than
+    max_edges(n) is answered None without a scan.
     """
-    m = graph.edge_count
-    lo, hi = m // 3, (m + 2) // 3
     n = graph.vertex_count
-    edges = graph.edges
-    for mask in _friendly_masks(n, fix_first=True):
-        lam = 0
-        for u, v in edges:
-            if not (((mask >> u) ^ (mask >> v)) & 1):
-                lam += 1
-                if lam > hi:
-                    break
-        if lo <= lam <= hi:
-            labeling = VertexLabeling(n, mask)
+    if n >= 2 and graph.edge_count > max_edges(n):
+        return None
+    return _witness_scan(graph)
+
+
+def _witness_scan(graph: Graph) -> OrientabilityWitness | None:
+    """is_orientable without the edge-count certificate."""
+    m = graph.edge_count
+    window = {m // 3, (m + 2) // 3}
+    for mask, bi, _ in _labelings(graph.vertex_count, graph.edges):
+        if m - bi.bit_count() in window:
+            labeling = VertexLabeling(graph.vertex_count, mask)
             o = construct_witness_orientation(graph, labeling)
             return OrientabilityWitness(
                 labeling, o, gamma_triple(orient(graph, o), labeling)

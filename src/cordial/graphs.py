@@ -16,6 +16,7 @@ separated and lines starting with ``#`` are comments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, NamedTuple, Union
 
 
@@ -282,6 +283,36 @@ def alternating_path(n: int) -> Digraph:
     return Digraph(n, arcs)
 
 
+def bichromatic_capacity(n: int) -> int:
+    """Largest possible number of bichromatic edges under a friendly labeling."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return ((n + 1) // 2) * (n // 2)
+
+
+def max_edges(n: int) -> int:
+    """Edge-count ceiling for (2,3)-orientable graphs on n vertices.
+
+    With cap = bichromatic_capacity(n) bichromatic edges at most (C(n,2)
+    minus the forced monochromatic count Z of K_n), a balanced triple
+    (alpha, beta, lambda) has alpha + beta <= cap and
+    lambda <= min(alpha, beta) + 1 <= floor(cap/2) + 1, so an orientable
+    graph has m <= cap + floor(cap/2) + 1 = floor((3*cap + 2)/2) edges.
+    tight_bound_graph meets this value, so it is exact.  It is clamped to
+    C(n,2), which binds only below n = 6 where K_n is orientable.
+
+    The value is one more than cap + ceil(cap/2) whenever cap is even,
+    i.e. for every n except n = 2 (mod 4): 19 rather than 18 at n = 7,
+    where every K_7 minus two edges is orientable.  Stated for n >= 6;
+    smaller n are computed anyway and flagged by
+    BoundsRecord.in_stated_range.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    cap = bichromatic_capacity(n)
+    return min(comb(n, 2), cap + cap // 2 + 1)
+
+
 def tight_bound_graph(n: int) -> Graph:
     """Densest (2,3)-orientable construction on n vertices.
 
@@ -292,7 +323,6 @@ def tight_bound_graph(n: int) -> Graph:
     cross edges evenly between the two directions gives a balanced
     triple, e.g. (6, 6, 7) at n = 7.
     """
-    from .bounds import max_edges  # bounds imports this module
     if n < 3:
         raise ValueError("tight bound construction needs n >= 3")
     a = (n + 1) // 2

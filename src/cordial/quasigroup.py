@@ -14,7 +14,6 @@ element 2 of -1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -119,17 +118,44 @@ def _counts_within_one(counts: Iterable[int]) -> bool:
 
 
 def _balanced_assignments(n: int, symbols: Sequence[int]):
-    """Assignments V -> symbols whose fiber sizes pairwise differ by <= 1.
+    """Assignments V -> symbols whose fiber sizes pairwise differ by <= 1,
+    in ``itertools.product(symbols, repeat=n)`` order.
 
     Counting empty fibers makes surjectivity automatic once n >= the
-    number of symbols, and waives it below.
+    number of symbols, and waives it below.  With q symbols, balanced
+    fibers hold floor(n/q) positions, or one more in exactly n mod q of
+    them, so a depth-first walk that keeps within those limits reaches
+    only balanced assignments and never a dead end.
     """
-    for f in itertools.product(symbols, repeat=n):
-        counts = [0] * len(symbols)
-        for x in f:
-            counts[symbols.index(x)] += 1
-        if _counts_within_one(counts):
-            yield f
+    q = len(symbols)
+    base, extra = divmod(n, q)
+    counts = [0] * q
+    picks: list[int] = []  # symbol index chosen at each position so far
+    labels: list[int] = []
+    full = 0  # fibers already holding base + 1 positions
+    s = 0  # next symbol index to try at position len(picks)
+    while True:
+        if len(picks) == n:
+            yield tuple(labels)
+            s = q
+        while s < q and not (
+            counts[s] < base or (counts[s] == base and full < extra)
+        ):
+            s += 1
+        if s < q:
+            full += counts[s] == base
+            counts[s] += 1
+            picks.append(s)
+            labels.append(symbols[s])
+            s = 0
+        elif picks:
+            s = picks.pop()
+            labels.pop()
+            counts[s] -= 1
+            full -= counts[s] == base
+            s += 1
+        else:
+            return
 
 
 def is_subset_q_cordial(

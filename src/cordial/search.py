@@ -17,7 +17,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterator
 
-from .engine import _friendly_masks
+from .engine import _labelings
 from .graphs import (
     Digraph,
     Graph,
@@ -51,7 +51,7 @@ def friendly_labelings(
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    for mask in _friendly_masks(n, fix_first_label):
+    for mask, _, _ in _labelings(n, (), pin=fix_first_label):
         yield VertexLabeling(n, mask)
 
 
@@ -87,18 +87,13 @@ def _window_triples(graph: Graph) -> list[tuple[int, int, frozenset[int]]]:
     lambda = m - |B| must be in it; P marks those whose u -> v arc is +1,
     so orientation o gets alpha = popcount((o ^ P) & B).
     """
-    edges = graph.edges
-    m = len(edges)
+    m = graph.edge_count
     window = {m // 3, (m + 2) // 3}
-    pairs = set()
-    for mask in _friendly_masks(graph.vertex_count, fix_first=True):
-        bi = plus = 0
-        for j, (u, v) in enumerate(edges):
-            if ((mask >> u) ^ (mask >> v)) & 1:
-                bi |= 1 << j
-                plus |= ((mask >> v) & 1) << j
-        if m - bi.bit_count() in window:
-            pairs.add((plus, bi))
+    pairs = {
+        (plus, bi)
+        for _, bi, plus in _labelings(graph.vertex_count, graph.edges)
+        if m - bi.bit_count() in window
+    }
     return [
         (plus, bi, frozenset(a for a in window if bi.bit_count() - a in window))
         for plus, bi in pairs

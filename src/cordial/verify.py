@@ -19,8 +19,6 @@ from typing import Callable
 
 from .bounds import complete_graph_zero_excess, max_edges, verify_bound, z_value
 from .engine import (
-    _first_balanced_mask,
-    _friendly_masks,
     OrientabilityWitness,
     gamma_triple,
     is_balanced_triple,
@@ -158,14 +156,18 @@ def _orientable_by_orientation_scan(graph: Graph) -> bool:
     """Oracle: try all 2^m orientations, each with a full labeling scan."""
     n = graph.vertex_count
     edges = graph.edges
-    m = len(edges)
-    masks = list(_friendly_masks(n, fix_first=True))
-    for bits in range(1 << m):
+    sizes = {n // 2, (n + 1) // 2}
+    masks = [mask for mask in range(1 << n) if mask.bit_count() in sizes]
+    for bits in range(1 << len(edges)):
         arcs = tuple(
             (v, u) if (bits >> j) & 1 else (u, v) for j, (u, v) in enumerate(edges)
         )
-        if _first_balanced_mask(arcs, masks) is not None:
-            return True
+        for mask in masks:
+            counts = [0, 0, 0]  # arcs labeled 0, +1 and -1 (index -1)
+            for t, h in arcs:
+                counts[((mask >> h) & 1) - ((mask >> t) & 1)] += 1
+            if max(counts) - min(counts) <= 1:
+                return True
     return False
 
 
@@ -175,7 +177,10 @@ def _orientable_by_split_scan(graph: Graph) -> bool:
     their arc label 0 whichever way they point)."""
     n = graph.vertex_count
     edges = graph.edges
-    for mask in _friendly_masks(n):
+    sizes = {n // 2, (n + 1) // 2}
+    for mask in range(1 << n):
+        if mask.bit_count() not in sizes:
+            continue
         mono = 0
         bi = 0
         for u, v in edges:

@@ -9,6 +9,7 @@ from cordial import (
     bounds_record,
     complete_graph,
     complete_graph_zero_excess,
+    engine,
     friendly_labelings,
     gamma_triple,
     is_balanced_triple,
@@ -122,6 +123,21 @@ class TestVerifyBound:
         assert rep.violations == ()
         assert rep.tight_witness is not None
         assert rep.tight_witness.orientation.graph.edge_count == 19
+
+    def test_census_runs_the_scan_on_every_graph(self, monkeypatch):
+        # The census must not use the edge-count certificate: it would
+        # assume the very ceiling being tested.
+        scanned = []
+        scan = engine._labelings
+
+        def counting_scan(*args, **kwargs):
+            scanned.append(args[0])
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_labelings", counting_scan)
+        rep = verify_bound(7)
+        assert rep.graphs_checked == 22
+        assert scanned == [7] * 23  # 22 graphs above the ceiling + the witness
 
     def test_k6_not_orientable_certificate(self):
         g = complete_graph(6)

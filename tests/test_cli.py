@@ -1,8 +1,9 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
-from cordial import alternating_path, parse_text, path_graph, to_text
+from cordial import alternating_path, engine, parse_text, path_graph, to_text
 from cordial.cli import RunReport, run
 
 
@@ -79,6 +80,19 @@ class TestCheckGraph:
         assert code == 0
         assert "orientable: true" in out
         assert "orientation:" in out
+
+    def test_complete_40_answered_by_edge_count(self, monkeypatch):
+        # 780 edges exceed max_edges(40) = 601, so no labeling is scanned;
+        # the scan itself would need 2^39 labelings.
+        def refuse_scan(*args, **kwargs):
+            raise AssertionError("labeling scan started")
+
+        monkeypatch.setattr(engine, "_labelings", refuse_scan)
+        t0 = time.perf_counter()
+        code, out, _ = invoke(["check-graph", "complete:40"])
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 1
+        assert "orientable: false" in out
 
     def test_missing_file_and_unknown_name(self):
         code, _, err = invoke(["check-graph", "no_such_file.txt"])

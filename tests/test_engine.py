@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cordial import (
     Digraph,
@@ -14,16 +16,21 @@ from cordial import (
     complete_graph,
     construct_witness_orientation,
     counterexample_tree,
+    engine,
+    friendly_labelings,
     gamma_triple,
     is_balanced_triple,
     is_cordial,
     is_friendly,
     is_orientable,
     lambda_count,
+    make_graph,
+    max_edges,
     orient,
     path_graph,
     petersen_graph,
     reverse,
+    tight_bound_graph,
 )
 
 
@@ -221,3 +228,100 @@ class TestLabelingReport:
         lab = VertexLabeling.from_labels((0, 1))
         report = LabelingReport(labeling=lab, verdict=True, gamma=GammaTriple(1, 0, 0))
         assert report.verdict
+
+
+@st.composite
+def digraphs(draw):
+    """Digon-free digraphs on 1..11 vertices, from empty to near-tournaments."""
+    n = draw(st.integers(1, 11))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    spread = draw(st.integers(2, 8))
+    picks = draw(
+        st.lists(st.integers(0, spread), min_size=len(pairs), max_size=len(pairs))
+    )
+    arcs = [(u, v) if p == 1 else (v, u) for (u, v), p in zip(pairs, picks) if p in (1, 2)]
+    return Digraph(n, tuple(arcs))
+
+
+def pinned_friendly(n):
+    """Reference enumeration: filter every mask, keep vertex 0 labeled 0."""
+    labelings = (VertexLabeling(n, mask) for mask in range(1 << n))
+    return (lab for lab in labelings if not lab.mask & 1 and is_friendly(lab))
+
+
+def first_cordial_mask(d):
+    return next(
+        (lab.mask for lab in pinned_friendly(d.vertex_count)
+         if is_balanced_triple(gamma_triple(d, lab))),
+        None,
+    )
+
+
+def first_window_mask(g):
+    m = g.edge_count
+    return next(
+        (lab.mask for lab in pinned_friendly(g.vertex_count)
+         if lambda_count(g, lab) in (m // 3, (m + 2) // 3)),
+        None,
+    )
+
+
+def witness_mask(report):
+    return None if report is None else report.labeling.mask
+
+
+def transitive_tournament(n):
+    return Digraph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+
+
+class TestKernelAgainstMaskFilter:
+    """The split-half kernel against a filter over all 2^n masks."""
+
+    @given(digraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_is_cordial_witness_is_first_balanced_mask(self, d):
+        assert witness_mask(is_cordial(d)) == first_cordial_mask(d)
+
+    @given(digraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_is_orientable_witness_is_first_window_mask(self, d):
+        g = make_graph(d.vertex_count, d.arcs)
+        assert witness_mask(is_orientable(g)) == first_window_mask(g)
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_zero_edges_and_tournaments(self, n):
+        empty = Digraph(n, ())
+        assert witness_mask(is_cordial(empty)) == first_cordial_mask(empty)
+        assert witness_mask(is_orientable(Graph(n, ()))) == first_window_mask(Graph(n, ()))
+        d = transitive_tournament(n)
+        assert witness_mask(is_cordial(d)) == first_cordial_mask(d)
+        g = complete_graph(n)
+        assert witness_mask(is_orientable(g)) == first_window_mask(g)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_friendly_labelings_in_mask_order(self, n):
+        friendly = [mask for mask in range(1 << n) if is_friendly(VertexLabeling(n, mask))]
+        assert [lab.mask for lab in friendly_labelings(n)] == friendly
+        assert [lab.mask for lab in friendly_labelings(n, fix_first_label=True)] == [
+            mask for mask in friendly if not mask & 1
+        ]
+
+
+def refuse_scan(*args, **kwargs):
+    raise AssertionError("labeling scan started")
+
+
+class TestEdgeCountCertificate:
+    def test_above_ceiling_answered_without_scan(self, monkeypatch):
+        monkeypatch.setattr(engine, "_labelings", refuse_scan)
+        assert is_orientable(complete_graph(40)) is None
+        assert is_cordial(transitive_tournament(40)) is None
+        g = tight_bound_graph(12)
+        extra = next(e for e in complete_graph(12).edges if e not in g.edges)
+        assert is_orientable(make_graph(12, g.edges + (extra,))) is None
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_ceiling_itself_is_scanned(self, n):
+        g = tight_bound_graph(n)
+        assert g.edge_count == max_edges(n)
+        assert is_orientable(g) is not None

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from cordial import (
     validate_latin,
     z3_minus_instance,
 )
+from cordial.quasigroup import _balanced_assignments
 
 Z2 = CayleyTable(((0, 1), (1, 0)))
 Z3 = CayleyTable(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
@@ -124,6 +126,18 @@ class TestSubsetQCordial:
                 lab = VertexLabeling.from_labels(witness)
                 assert is_friendly(lab)
                 assert is_balanced_triple(gamma_triple(d, lab))
+
+
+class TestBalancedAssignments:
+    @pytest.mark.parametrize("symbols", [(0, 1), (0, 1, 2), (2, 0), (0, 1, 2, 3)])
+    def test_matches_product_filter(self, symbols):
+        for n in range(9):
+            expected = [
+                f
+                for f in itertools.product(symbols, repeat=n)
+                if max(map(f.count, symbols)) - min(map(f.count, symbols)) <= 1
+            ]
+            assert list(_balanced_assignments(n, symbols)) == expected
 
 
 class TestACordial:
