@@ -220,16 +220,20 @@ def orient(graph: Graph, orientation: Orientation) -> Digraph:
     if orientation.graph != graph:
         raise ValueError("orientation was built for a different graph")
     bits = orientation.bits
-    arcs = tuple(
+    # tuple() of a list, not of a generator: a tuple grown from a generator
+    # is resized in place and freed onto another length's free list, which
+    # the interpreter empties only at a full collection, so repeated calls
+    # would keep raising the process's resident memory.
+    arcs = tuple([
         (v, u) if (bits >> j) & 1 else (u, v)
         for j, (u, v) in enumerate(graph.edges)
-    )
+    ])
     return Digraph(graph.vertex_count, arcs)
 
 
 def reverse(digraph: Digraph) -> Digraph:
     """Reverse every arc."""
-    return Digraph(digraph.vertex_count, tuple((h, t) for t, h in digraph.arcs))
+    return Digraph(digraph.vertex_count, tuple([(h, t) for t, h in digraph.arcs]))
 
 
 # ---------------------------------------------------------------------------

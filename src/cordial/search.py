@@ -7,6 +7,13 @@ reversal symmetry pins bit 0 to 0 and halves the range, complement
 symmetry pins vertex 0's label to 0 and halves the labeling scan.  The
 orientation census enumerates labelings once per graph, not once per
 orientation: see ``noncordial_orientations``.
+
+The path DP keeps one bitset per (ones used, label of the last vertex):
+bit alpha * (cap + 2) + beta marks a reachable (+1 count, -1 count), so
+an arc is a shift of the whole set, not a loop over states (see
+``_path_layers``).  Arc j of an alternating path depends on j alone, so
+``alternating_path(n)`` is the first n vertices of any longer one, and
+``scan_alternating_paths`` reads every size's verdict from one pass.
 """
 
 from __future__ import annotations
@@ -151,13 +158,55 @@ def noncordial_orientations(
     return report
 
 
+def _balanced_pairs(m: int) -> list[tuple[int, int]]:
+    """(alpha, beta) of the balanced triples that sum to m, ascending.
+
+    A triple summing to m is balanced exactly when each count lies in the
+    window {floor(m/3), ceil(m/3)}.
+    """
+    window = range(m // 3, (m + 2) // 3 + 1)
+    return [(a, b) for a in window for b in window if m - a - b in window]
+
+
+def _path_layers(forward: list[bool], cap: int, max_ones: int) -> Iterator[list[int]]:
+    """Reachable states of an oriented path, one layer per vertex.
+
+    Entry ``2 * ones + label`` of layer i is a bitset over (alpha, beta):
+    bit ``alpha * (cap + 2) + beta`` is set when some labeling of vertices
+    0..i with ``ones`` ones, vertex i labeled ``label``, reaches +1 count
+    alpha and -1 count beta with neither above cap.  forward[j] tells
+    whether arc j runs j -> j + 1.  A +1 arc shifts a bitset by one row,
+    a -1 arc by one bit, and the spare column keeps beta = cap + 1 in its
+    own row until the ``valid`` mask clears it.  Each layer is a new list.
+    """
+    w = cap + 2
+    valid = sum(((1 << (cap + 1)) - 1) << (a * w) for a in range(cap + 1))
+    layer = [0] * (2 * max_ones + 2)
+    layer[0] = layer[3] = 1
+    yield layer
+    for fwd in forward:
+        # Shifts of the 0 -> 1 and 1 -> 0 label steps: +1 adds to alpha.
+        up, down = (w, 1) if fwd else (1, w)
+        nxt = [0] * len(layer)
+        for k in range(0, 2 * max_ones + 2, 2):
+            s0, s1 = layer[k], layer[k + 1]
+            nxt[k] = s0 | ((s1 << down) & valid)
+            if k < 2 * max_ones:
+                nxt[k + 3] = ((s0 << up) & valid) | s1
+        layer = nxt
+        yield layer
+
+
 def path_cordial_dp(digraph: Digraph) -> VertexLabeling | None:
     """Polynomial-time cordiality decision for an oriented path.
 
     The underlying graph must be the path 0 - 1 - ... - (n-1) with arcs
-    listed in path order.  A dynamic program over states (ones used,
-    +1 count, -1 count, previous label) decides whether a friendly
-    labeling with balanced final counts exists and reconstructs one.
+    listed in path order.  ``_path_layers`` keeps, for each vertex and
+    each (ones used, label of that vertex), one int whose bits are the
+    reachable (+1 count, -1 count) pairs, both capped at ceil(m/3); the
+    three arc labels become a row shift, a bit shift and no shift.  The
+    witness is the smallest final (ones, alpha, beta, last label) with
+    friendly ones and a balanced triple, walked back preferring label 0.
     """
     n = digraph.vertex_count
     arcs = digraph.arcs
@@ -170,47 +219,30 @@ def path_cordial_dp(digraph: Digraph) -> VertexLabeling | None:
         forward.append(t == j)
     m = n - 1
     cap = (m + 2) // 3
-    max_ones = (n + 1) // 2
-    # states[i]: set of (ones, alpha, beta, label of vertex i)
-    states: list[set[tuple[int, int, int, int]]] = [{(0, 0, 0, 0), (1, 0, 0, 1)}]
-    for i in range(1, n):
-        fwd = forward[i - 1]
-        nxt = set()
-        for ones, alpha, beta, prev in states[i - 1]:
-            for x in (0, 1):
-                d = (x - prev) if fwd else (prev - x)
-                a2 = alpha + (d == 1)
-                b2 = beta + (d == -1)
-                if a2 > cap or b2 > cap:
-                    continue
-                k2 = ones + x
-                if k2 > max_ones:
-                    continue
-                nxt.add((k2, a2, b2, x))
-        states.append(nxt)
-    ok_ones = {n // 2, (n + 1) // 2}
-    finals = sorted(
-        s
-        for s in states[-1]
-        if s[0] in ok_ones
-        and max(s[1], s[2], m - s[1] - s[2]) - min(s[1], s[2], m - s[1] - s[2]) <= 1
+    w = cap + 2
+    layers = list(_path_layers(forward, cap, (n + 1) // 2))
+    final = next(
+        (
+            (ones, alpha, beta, last)
+            for ones in sorted({n // 2, (n + 1) // 2})
+            for alpha, beta in _balanced_pairs(m)
+            for last in (0, 1)
+            if layers[-1][2 * ones + last] >> (alpha * w + beta) & 1
+        ),
+        None,
     )
-    if not finals:
+    if final is None:
         return None
-    ones, alpha, beta, last = finals[0]
+    ones, alpha, beta, last = final
     labels = [0] * n
     labels[n - 1] = last
     for i in range(n - 1, 0, -1):
+        ones -= labels[i]
         for q in (0, 1):
             d = (labels[i] - q) if forward[i - 1] else (q - labels[i])
-            prev_state = (ones - labels[i], alpha - (d == 1), beta - (d == -1), q)
-            if (
-                prev_state[0] >= 0
-                and prev_state[1] >= 0
-                and prev_state[2] >= 0
-                and prev_state in states[i - 1]
-            ):
-                ones, alpha, beta, _ = prev_state
+            a, b = alpha - (d == 1), beta - (d == -1)
+            if a >= 0 and b >= 0 and layers[i - 1][2 * ones + q] >> (a * w + b) & 1:
+                alpha, beta = a, b
                 labels[i - 1] = q
                 break
         else:
@@ -219,14 +251,28 @@ def path_cordial_dp(digraph: Digraph) -> VertexLabeling | None:
 
 
 def scan_alternating_paths(n_max: int) -> list[int]:
-    """Even path sizes up to n_max whose alternating orientation is not cordial."""
+    """Even path sizes up to n_max whose alternating orientation is not cordial.
+
+    Arc j of ``alternating_path(n)`` depends on j alone, so every
+    alternating path is a prefix of ``alternating_path(n_max)``.  One pass
+    of ``_path_layers`` over that path, capped for n_max, reads each even
+    prefix's verdict from the layer at its last vertex: pruning only drops
+    states whose counts or ones exceed the cap, and counts never fall, so
+    the prefix's own reachable states are the ones within its caps.
+    """
     if n_max < 2 or n_max % 2:
         raise ValueError("n_max must be an even integer >= 2")
-    return [
-        n
-        for n in range(2, n_max + 1, 2)
-        if path_cordial_dp(alternating_path(n)) is None
-    ]
+    forward = [t < h for t, h in alternating_path(n_max).arcs]
+    cap = (n_max + 1) // 3
+    w = cap + 2
+    failing = []
+    for n, layer in enumerate(_path_layers(forward, cap, (n_max + 1) // 2), start=1):
+        if n % 2 == 0:
+            # n / 2 ones: entries n and n + 1 (last label 0 or 1).
+            goal = sum(1 << (a * w + b) for a, b in _balanced_pairs(n - 1))
+            if not (layer[n] | layer[n + 1]) & goal:
+                failing.append(n)
+    return failing
 
 
 @dataclass(frozen=True)

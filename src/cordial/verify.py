@@ -20,6 +20,7 @@ from typing import Callable
 from .bounds import complete_graph_zero_excess, max_edges, verify_bound, z_value
 from .engine import (
     OrientabilityWitness,
+    _labelings,
     gamma_triple,
     is_balanced_triple,
     is_cordial,
@@ -124,12 +125,13 @@ def _connected(graph: Graph) -> bool:
 
 
 def _random_graph(rng: random.Random, n: int) -> Graph:
-    edges = tuple(
+    # A list, not a generator, for tuple(): see graphs.orient.
+    edges = tuple([
         (u, v)
         for u in range(n)
         for v in range(u + 1, n)
         if rng.randrange(2)
-    )
+    ])
     return Graph(n, edges)
 
 
@@ -159,9 +161,9 @@ def _orientable_by_orientation_scan(graph: Graph) -> bool:
     sizes = {n // 2, (n + 1) // 2}
     masks = [mask for mask in range(1 << n) if mask.bit_count() in sizes]
     for bits in range(1 << len(edges)):
-        arcs = tuple(
+        arcs = tuple([
             (v, u) if (bits >> j) & 1 else (u, v) for j, (u, v) in enumerate(edges)
-        )
+        ])
         for mask in masks:
             counts = [0, 0, 0]  # arcs labeled 0, +1 and -1 (index -1)
             for t, h in arcs:
@@ -200,7 +202,7 @@ def _all_graphs(n: int):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     for gbits in range(1 << len(pairs)):
         yield Graph(
-            n, tuple(p for j, p in enumerate(pairs) if (gbits >> j) & 1)
+            n, tuple([p for j, p in enumerate(pairs) if (gbits >> j) & 1])
         )
 
 
@@ -296,14 +298,18 @@ def _check_path_landscape() -> str:
     dp_time = time.perf_counter() - t0
     _expect(failing == [10, 22], f"alternating scan returned {failing}")
     _expect(dp_time < 10.0, f"DP route took {dp_time:.1f}s, budget 10s")
+    # The direct scan reads the kernel's (mask, B, P) of every unpinned
+    # friendly labeling, not the DP route it cross-checks.
     d22 = alternating_path(22)
+    m = len(d22.arcs)
     t1 = time.perf_counter()
     count = 0
     witness = None
-    for lab in friendly_labelings(22):
+    for mask, bi, plus in _labelings(22, d22.arcs, pin=False):
         count += 1
-        if is_balanced_triple(gamma_triple(d22, lab)):
-            witness = lab
+        alpha = plus.bit_count()
+        if is_balanced_triple((alpha, bi.bit_count() - alpha, m - bi.bit_count())):
+            witness = mask
             break
     direct_time = time.perf_counter() - t1
     _expect(witness is None, "direct scan found a cordial labeling at n=22")

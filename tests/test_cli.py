@@ -137,6 +137,18 @@ class TestScanAndSurveys:
         code, out, _ = invoke(["scan-alternating", "8"])
         assert code == 0
 
+    def test_scan_alternating_odd_nmax_is_input_error(self):
+        code, out, err = invoke(["scan-alternating", "9"])
+        assert code == 2
+        assert "error:" in err
+
+    def test_scan_alternating_150(self):
+        t0 = time.perf_counter()
+        code, out, _ = invoke(["scan-alternating", "150", "--json"])
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 1
+        assert RunReport.from_json(out).verdicts["noncordial_n"] == list(range(10, 143, 12))
+
     def test_tournaments(self):
         code, out, _ = invoke(["tournaments", "3"])
         assert code == 0

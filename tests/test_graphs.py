@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from cordial import (
@@ -126,6 +128,16 @@ class TestOrientation:
             undirected = {tuple(sorted(a)) for a in d.arcs}
             assert undirected == set(g.edges)
             assert d.arc_count == g.edge_count
+
+    def test_repeated_orient_and_reverse_leave_no_blocks(self):
+        # Arc tuples built from a generator end on another length's free
+        # list, about one retained block per call up to 2000 per length.
+        g, d = path_graph(8), alternating_path(8)
+        before = sys.getallocatedblocks()
+        for bits in range(3000):
+            orient(g, Orientation(g, bits % 128))
+            reverse(d)
+        assert sys.getallocatedblocks() - before < 200
 
 
 class TestVertexLabeling:

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cordial import (
     CayleyTable,
@@ -126,6 +128,23 @@ class TestSubsetQCordial:
                 lab = VertexLabeling.from_labels(witness)
                 assert is_friendly(lab)
                 assert is_balanced_triple(gamma_triple(d, lab))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_is_cordial_on_drawn_digraphs(self, data):
+        n = data.draw(st.integers(1, 9))
+        pairs = list(itertools.combinations(range(n), 2))
+        picks = data.draw(
+            st.lists(st.sampled_from((0, 1, 2)), min_size=len(pairs), max_size=len(pairs))
+        )
+        arcs = [(u, v) if p == 1 else (v, u) for (u, v), p in zip(pairs, picks) if p]
+        d = Digraph(n, tuple(arcs))
+        witness = is_subset_q_cordial(d, z3_minus_instance())
+        assert (witness is None) == (is_cordial(d) is None)
+        if witness is not None:
+            lab = VertexLabeling.from_labels(witness)
+            assert is_friendly(lab)
+            assert is_balanced_triple(gamma_triple(d, lab))
 
 
 class TestBalancedAssignments:

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -22,6 +23,7 @@ from cordial import (
     path_cordial_dp,
     path_graph,
     petersen_graph,
+    reverse,
     scan_alternating_paths,
     tournament_survey,
 )
@@ -227,6 +229,108 @@ class TestScanAlternating:
             scan_alternating_paths(9)
         with pytest.raises(ValueError):
             scan_alternating_paths(0)
+
+    def test_reach_150_is_the_mod_12_family(self):
+        assert scan_alternating_paths(150) == list(range(10, 151, 12))
+
+
+def _path_dp_oracle(d):
+    """Reference path DP: a set of (ones, alpha, beta, label) per vertex,
+    every layer kept, smallest final state walked back preferring 0."""
+    n = d.vertex_count
+    forward = [t == j for j, (t, h) in enumerate(d.arcs)]
+    m = n - 1
+    cap = (m + 2) // 3
+    max_ones = (n + 1) // 2
+    states = [{(0, 0, 0, 0), (1, 0, 0, 1)}]
+    for i in range(1, n):
+        nxt = set()
+        for ones, alpha, beta, prev in states[i - 1]:
+            for x in (0, 1):
+                diff = (x - prev) if forward[i - 1] else (prev - x)
+                a2, b2 = alpha + (diff == 1), beta + (diff == -1)
+                if a2 <= cap and b2 <= cap and ones + x <= max_ones:
+                    nxt.add((ones + x, a2, b2, x))
+        states.append(nxt)
+    finals = sorted(
+        s
+        for s in states[-1]
+        if s[0] in {n // 2, (n + 1) // 2}
+        and max(s[1], s[2], m - s[1] - s[2]) - min(s[1], s[2], m - s[1] - s[2]) <= 1
+    )
+    if not finals:
+        return None
+    ones, alpha, beta, last = finals[0]
+    labels = [0] * n
+    labels[n - 1] = last
+    for i in range(n - 1, 0, -1):
+        for q in (0, 1):
+            diff = (labels[i] - q) if forward[i - 1] else (q - labels[i])
+            prev = (ones - labels[i], alpha - (diff == 1), beta - (diff == -1), q)
+            if min(prev) >= 0 and prev in states[i - 1]:
+                ones, alpha, beta, _ = prev
+                labels[i - 1] = q
+                break
+    return sum(bit << v for v, bit in enumerate(labels))
+
+
+def _assert_dp_matches_oracle(d):
+    lab = path_cordial_dp(d)
+    assert (None if lab is None else lab.mask) == _path_dp_oracle(d)
+
+
+def _oriented_path(n, forward_bits):
+    return Digraph(
+        n,
+        tuple((j, j + 1) if forward_bits >> j & 1 else (j + 1, j) for j in range(n - 1)),
+    )
+
+
+@st.composite
+def oriented_paths(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    return _oriented_path(n, draw(st.integers(min_value=0, max_value=(1 << (n - 1)) - 1)))
+
+
+class TestPathDpAgainstOracle:
+    """The bitset layers against the set-of-tuples DP they replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_orientation(self, n):
+        for bits in range(1 << (n - 1)):
+            _assert_dp_matches_oracle(_oriented_path(n, bits))
+
+    @settings(max_examples=50, deadline=None)
+    @given(oriented_paths())
+    def test_random_orientations(self, d):
+        _assert_dp_matches_oracle(d)
+
+    @pytest.mark.parametrize("n", range(2, 61, 2))
+    def test_alternating_and_reversed(self, n):
+        _assert_dp_matches_oracle(alternating_path(n))
+        _assert_dp_matches_oracle(reverse(alternating_path(n)))
+
+    def test_one_pass_scan_matches_per_size_dp(self):
+        assert scan_alternating_paths(60) == [
+            n for n in range(2, 61, 2) if path_cordial_dp(alternating_path(n)) is None
+        ]
+
+    def test_witness_at_150(self):
+        d = alternating_path(150)
+        lab = path_cordial_dp(d)
+        assert lab is not None
+        assert is_friendly(lab)
+        assert is_balanced_triple(gamma_triple(d, lab))
+
+    def test_memory_at_60(self):
+        d = alternating_path(60)
+        tracemalloc.start()
+        try:
+            path_cordial_dp(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
 
 
 class TestTournamentSurvey:
