@@ -66,7 +66,7 @@ class CayleyTable:
 def validate_latin(table: Union[CayleyTable, Sequence[Sequence[int]]]) -> bool:
     """Check the quasigroup law: every row and column is a permutation."""
     if not isinstance(table, CayleyTable):
-        table = CayleyTable(tuple(tuple(row) for row in table))
+        table = CayleyTable(tuple([tuple(row) for row in table]))
     q = table.order
     full = frozenset(range(q))
     if any(set(row) != full for row in table.rows):

@@ -8,10 +8,11 @@ symmetry pins vertex 0's label to 0 and halves the labeling scan.  The
 orientation census enumerates labelings once per graph, not once per
 orientation: see ``noncordial_orientations``.
 
-The path DP keeps one bitset per (ones used, label of the last vertex):
-bit alpha * (cap + 2) + beta marks a reachable (+1 count, -1 count), so
-an arc is a shift of the whole set, not a loop over states (see
-``_path_layers``).  Arc j of an alternating path depends on j alone, so
+The path DP reads the engine's frontier layers, which on a path keep one
+bitset per label of the last vertex: bit ones * (cap + 2)^2 +
+alpha * (cap + 2) + beta marks a reachable (ones used, +1 count, -1
+count), so an arc is a shift of the whole set, not a loop over states.
+Arc j of an alternating path depends on j alone, so
 ``alternating_path(n)`` is the first n vertices of any longer one, and
 ``scan_alternating_paths`` reads every size's verdict from one pass.
 """
@@ -24,7 +25,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterator
 
-from .engine import _labelings
+from .engine import _arc_layout, _frontier_layers, _frontier_plan, _labelings
 from .graphs import (
     Digraph,
     Graph,
@@ -168,45 +169,17 @@ def _balanced_pairs(m: int) -> list[tuple[int, int]]:
     return [(a, b) for a in window for b in window if m - a - b in window]
 
 
-def _path_layers(forward: list[bool], cap: int, max_ones: int) -> Iterator[list[int]]:
-    """Reachable states of an oriented path, one layer per vertex.
-
-    Entry ``2 * ones + label`` of layer i is a bitset over (alpha, beta):
-    bit ``alpha * (cap + 2) + beta`` is set when some labeling of vertices
-    0..i with ``ones`` ones, vertex i labeled ``label``, reaches +1 count
-    alpha and -1 count beta with neither above cap.  forward[j] tells
-    whether arc j runs j -> j + 1.  A +1 arc shifts a bitset by one row,
-    a -1 arc by one bit, and the spare column keeps beta = cap + 1 in its
-    own row until the ``valid`` mask clears it.  Each layer is a new list.
-    """
-    w = cap + 2
-    valid = sum(((1 << (cap + 1)) - 1) << (a * w) for a in range(cap + 1))
-    layer = [0] * (2 * max_ones + 2)
-    layer[0] = layer[3] = 1
-    yield layer
-    for fwd in forward:
-        # Shifts of the 0 -> 1 and 1 -> 0 label steps: +1 adds to alpha.
-        up, down = (w, 1) if fwd else (1, w)
-        nxt = [0] * len(layer)
-        for k in range(0, 2 * max_ones + 2, 2):
-            s0, s1 = layer[k], layer[k + 1]
-            nxt[k] = s0 | ((s1 << down) & valid)
-            if k < 2 * max_ones:
-                nxt[k + 3] = ((s0 << up) & valid) | s1
-        layer = nxt
-        yield layer
-
-
 def path_cordial_dp(digraph: Digraph) -> VertexLabeling | None:
     """Polynomial-time cordiality decision for an oriented path.
 
     The underlying graph must be the path 0 - 1 - ... - (n-1) with arcs
-    listed in path order.  ``_path_layers`` keeps, for each vertex and
-    each (ones used, label of that vertex), one int whose bits are the
-    reachable (+1 count, -1 count) pairs, both capped at ceil(m/3); the
-    three arc labels become a row shift, a bit shift and no shift.  The
-    witness is the smallest final (ones, alpha, beta, last label) with
-    friendly ones and a balanced triple, walked back preferring label 0.
+    listed in path order.  The engine's frontier layers keep, per vertex
+    and label of that vertex, one int whose bits are the reachable (ones
+    used, +1 count, -1 count), the counts capped at ceil(m/3); the three
+    arc labels become a row shift, a bit shift and no shift, and a label
+    1 a block shift.  The witness is the smallest final (ones, alpha,
+    beta, last label) with friendly ones and a balanced triple, walked
+    back preferring label 0.
     """
     n = digraph.vertex_count
     arcs = digraph.arcs
@@ -217,17 +190,30 @@ def path_cordial_dp(digraph: Digraph) -> VertexLabeling | None:
         if {t, h} != {j, j + 1}:
             raise ValueError("input is not an oriented path in path order")
         forward.append(t == j)
+    if n == 1:
+        return VertexLabeling(1, 0)
     m = n - 1
-    cap = (m + 2) // 3
-    w = cap + 2
-    layers = list(_path_layers(forward, cap, (n + 1) // 2))
+    w, one, shifts, valid = _arc_layout(n, arcs, (m + 2) // 3, (n + 1) // 2)
+    layers = list(_frontier_layers(_frontier_plan(n, arcs, shifts, one, False), valid))
+
+    def before(i: int, ones: int, alpha: int, beta: int, label: int):
+        """(label, alpha, beta) of vertex i - 1, label 0 first, in a state
+        that arc i - 1 takes to (ones, alpha, beta, label) at vertex i."""
+        ones -= label
+        for q in (0, 1):
+            d = (label - q) if forward[i - 1] else (q - label)
+            a, b = alpha - (d == 1), beta - (d == -1)
+            if min(ones, a, b) >= 0 and layers[i - 1][q] >> (ones * one + a * w + b) & 1:
+                return q, a, b
+        return None
+
     final = next(
         (
             (ones, alpha, beta, last)
             for ones in sorted({n // 2, (n + 1) // 2})
             for alpha, beta in _balanced_pairs(m)
             for last in (0, 1)
-            if layers[-1][2 * ones + last] >> (alpha * w + beta) & 1
+            if before(n - 1, ones, alpha, beta, last)
         ),
         None,
     )
@@ -237,16 +223,11 @@ def path_cordial_dp(digraph: Digraph) -> VertexLabeling | None:
     labels = [0] * n
     labels[n - 1] = last
     for i in range(n - 1, 0, -1):
-        ones -= labels[i]
-        for q in (0, 1):
-            d = (labels[i] - q) if forward[i - 1] else (q - labels[i])
-            a, b = alpha - (d == 1), beta - (d == -1)
-            if a >= 0 and b >= 0 and layers[i - 1][2 * ones + q] >> (a * w + b) & 1:
-                alpha, beta = a, b
-                labels[i - 1] = q
-                break
-        else:
+        step = before(i, ones, alpha, beta, labels[i])
+        if step is None:
             raise AssertionError("DP reconstruction lost a state")
+        ones -= labels[i]
+        labels[i - 1], alpha, beta = step
     return VertexLabeling.from_labels(labels)
 
 
@@ -255,22 +236,23 @@ def scan_alternating_paths(n_max: int) -> list[int]:
 
     Arc j of ``alternating_path(n)`` depends on j alone, so every
     alternating path is a prefix of ``alternating_path(n_max)``.  One pass
-    of ``_path_layers`` over that path, capped for n_max, reads each even
-    prefix's verdict from the layer at its last vertex: pruning only drops
-    states whose counts or ones exceed the cap, and counts never fall, so
-    the prefix's own reachable states are the ones within its caps.
+    of the engine's frontier layers over that path, capped for n_max,
+    reads each even prefix's verdict from the layer at its last vertex:
+    pruning only drops states whose counts or ones exceed the cap, and
+    counts never fall, so the prefix's own reachable states are the ones
+    within its caps.
     """
     if n_max < 2 or n_max % 2:
         raise ValueError("n_max must be an even integer >= 2")
-    forward = [t < h for t, h in alternating_path(n_max).arcs]
-    cap = (n_max + 1) // 3
-    w = cap + 2
+    arcs = alternating_path(n_max).arcs
+    w, one, shifts, valid = _arc_layout(n_max, arcs, (n_max + 1) // 3, (n_max + 1) // 2)
+    plan = _frontier_plan(n_max, arcs, shifts, one, False)
     failing = []
-    for n, layer in enumerate(_path_layers(forward, cap, (n_max + 1) // 2), start=1):
+    for n, layer in enumerate(_frontier_layers(plan, valid), start=1):
         if n % 2 == 0:
-            # n / 2 ones: entries n and n + 1 (last label 0 or 1).
-            goal = sum(1 << (a * w + b) for a, b in _balanced_pairs(n - 1))
-            if not (layer[n] | layer[n + 1]) & goal:
+            ones = n // 2
+            goal = sum(1 << (ones * one + a * w + b) for a, b in _balanced_pairs(n - 1))
+            if not any(s & goal for s in layer):
                 failing.append(n)
     return failing
 

@@ -20,6 +20,7 @@ from typing import Callable
 from .bounds import complete_graph_zero_excess, max_edges, verify_bound, z_value
 from .engine import (
     OrientabilityWitness,
+    _cordial_scan,
     _labelings,
     gamma_triple,
     is_balanced_triple,
@@ -299,18 +300,23 @@ def _check_path_landscape() -> str:
     _expect(failing == [10, 22], f"alternating scan returned {failing}")
     _expect(dp_time < 10.0, f"DP route took {dp_time:.1f}s, budget 10s")
     # The direct scan reads the kernel's (mask, B, P) of every unpinned
-    # friendly labeling, not the DP route it cross-checks.
+    # friendly labeling, not the DP route it cross-checks.  A balanced
+    # triple summing to m has every count in the window, so only a
+    # labeling whose 0 count m - |B| lies in it needs the full test.
     d22 = alternating_path(22)
     m = len(d22.arcs)
+    window = {m // 3, (m + 2) // 3}
     t1 = time.perf_counter()
     count = 0
     witness = None
     for mask, bi, plus in _labelings(22, d22.arcs, pin=False):
         count += 1
-        alpha = plus.bit_count()
-        if is_balanced_triple((alpha, bi.bit_count() - alpha, m - bi.bit_count())):
-            witness = mask
-            break
+        k = bi.bit_count()
+        if m - k in window:
+            alpha = plus.bit_count()
+            if is_balanced_triple((alpha, k - alpha, m - k)):
+                witness = mask
+                break
     direct_time = time.perf_counter() - t1
     _expect(witness is None, "direct scan found a cordial labeling at n=22")
     _expect(count == 705432, f"direct scan covered {count} labelings")
@@ -526,13 +532,15 @@ def _check_quasigroup_equivalence() -> str:
 
 
 def _check_path_dp() -> str:
+    # The kernel itself, not is_cordial: the DP shares its layer builder
+    # with is_cordial's sparse route.
     count = 0
     for n in range(2, 11):
         g = path_graph(n)
         for o in orientations(g):
             d = orient(g, o)
             dp_witness = path_cordial_dp(d)
-            direct = is_cordial(d)
+            direct = _cordial_scan(d)
             _expect(
                 (dp_witness is None) == (direct is None),
                 f"DP disagrees with the scan on n={n} bits={o.bit_string()}",

@@ -3,7 +3,14 @@ import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
-from cordial import alternating_path, engine, parse_text, path_graph, to_text
+from cordial import (
+    alternating_path,
+    engine,
+    make_graph,
+    parse_text,
+    path_graph,
+    to_text,
+)
 from cordial.cli import RunReport, run
 
 
@@ -57,6 +64,15 @@ class TestCheckDigraph:
         code, out, _ = invoke(["check-digraph", str(path)])
         assert code == 1
 
+    def test_alternating_path_34_answered_at_once(self):
+        # The kernel would read C(33, 17) = 1.2e9 labelings; the frontier
+        # DP of a path has width 1.
+        t0 = time.perf_counter()
+        code, out, _ = invoke(["check-digraph", "alternating_path:34"])
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 1
+        assert "no cordial labeling" in out
+
     def test_undirected_input_rejected(self, monkeypatch):
         code, _, err = invoke(
             ["check-digraph", "-"], stdin_text="2 1\n0 1\n", monkeypatch=monkeypatch
@@ -93,6 +109,25 @@ class TestCheckGraph:
         assert time.perf_counter() - t0 < 2.0
         assert code == 1
         assert "orientable: false" in out
+
+    def test_degree_1_3_caterpillars(self, tmp_path):
+        # Spine 0, 1, 3, 5, ... with pendant v + 1 after each inner spine
+        # vertex v: every degree is 1 or 3.  Not orientable at n = 34
+        # (n = 10 mod 12), orientable at n = 28.
+        for n, expected in ((34, 1), (28, 0)):
+            edges = []
+            spine = 0
+            for nxt in range(1, n - 1, 2):
+                edges += [(spine, nxt), (nxt, nxt + 1)]
+                spine = nxt
+            edges.append((spine, n - 1))
+            path = tmp_path / f"caterpillar{n}.txt"
+            path.write_text(to_text(make_graph(n, edges)))
+            t0 = time.perf_counter()
+            code, out, _ = invoke(["check-graph", str(path)])
+            assert time.perf_counter() - t0 < 2.0
+            assert code == expected
+            assert f"orientable: {'false' if expected else 'true'}" in out
 
     def test_missing_file_and_unknown_name(self):
         code, _, err = invoke(["check-graph", "no_such_file.txt"])

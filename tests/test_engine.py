@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -231,9 +232,9 @@ class TestLabelingReport:
 
 
 @st.composite
-def digraphs(draw):
-    """Digon-free digraphs on 1..11 vertices, from empty to near-tournaments."""
-    n = draw(st.integers(1, 11))
+def digraphs(draw, max_n=11):
+    """Digon-free digraphs on 1..max_n vertices, from empty to near-tournaments."""
+    n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     spread = draw(st.integers(2, 8))
     picks = draw(
@@ -275,28 +276,33 @@ def transitive_tournament(n):
 
 
 class TestKernelAgainstMaskFilter:
-    """The split-half kernel against a filter over all 2^n masks."""
+    """The split-half kernel against a filter over all 2^n masks.
+
+    The kernel is called directly, so no input can reach the frontier DP.
+    """
 
     @given(digraphs())
     @settings(max_examples=200, deadline=None)
     def test_is_cordial_witness_is_first_balanced_mask(self, d):
-        assert witness_mask(is_cordial(d)) == first_cordial_mask(d)
+        assert witness_mask(engine._cordial_scan(d)) == first_cordial_mask(d)
 
     @given(digraphs())
     @settings(max_examples=200, deadline=None)
     def test_is_orientable_witness_is_first_window_mask(self, d):
         g = make_graph(d.vertex_count, d.arcs)
-        assert witness_mask(is_orientable(g)) == first_window_mask(g)
+        assert witness_mask(engine._witness_scan(g)) == first_window_mask(g)
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_zero_edges_and_tournaments(self, n):
         empty = Digraph(n, ())
-        assert witness_mask(is_cordial(empty)) == first_cordial_mask(empty)
-        assert witness_mask(is_orientable(Graph(n, ()))) == first_window_mask(Graph(n, ()))
+        assert witness_mask(engine._cordial_scan(empty)) == first_cordial_mask(empty)
+        assert witness_mask(engine._witness_scan(Graph(n, ()))) == first_window_mask(
+            Graph(n, ())
+        )
         d = transitive_tournament(n)
-        assert witness_mask(is_cordial(d)) == first_cordial_mask(d)
+        assert witness_mask(engine._cordial_scan(d)) == first_cordial_mask(d)
         g = complete_graph(n)
-        assert witness_mask(is_orientable(g)) == first_window_mask(g)
+        assert witness_mask(engine._witness_scan(g)) == first_window_mask(g)
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_friendly_labelings_in_mask_order(self, n):
@@ -325,3 +331,133 @@ class TestEdgeCountCertificate:
         g = tight_bound_graph(n)
         assert g.edge_count == max_edges(n)
         assert is_orientable(g) is not None
+
+
+def disjoint_union(a, b):
+    """Digraph b placed after digraph a, on vertices of its own."""
+    k = a.vertex_count
+    return Digraph(k + b.vertex_count, a.arcs + tuple([(t + k, h + k) for t, h in b.arcs]))
+
+
+def caterpillar(n):
+    """Tree with every degree in {1, 3}: a spine whose inner vertices each
+    carry one pendant, numbered so each pendant follows its spine vertex
+    (frontier width 1 in natural order).  n = 10 is counterexample_tree's
+    shape."""
+    edges = []
+    spine = 0
+    for nxt in range(1, n - 1, 2):
+        edges += [(spine, nxt), (nxt, nxt + 1)]
+        spine = nxt
+    edges.append((spine, n - 1))
+    return make_graph(n, edges)
+
+
+def sparse_digraph(n, seed, degree=3.0):
+    rng = random.Random(seed)
+    arcs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < degree / n:
+                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+    return Digraph(n, tuple(arcs))
+
+
+def assert_routes_agree(d):
+    """The DP and the kernel give the same report, witness and all."""
+    assert engine._cordial_dp(d) == engine._cordial_scan(d)
+    g = make_graph(d.vertex_count, d.arcs)
+    assert engine._witness_dp(g) == engine._witness_scan(g)
+
+
+class TestFrontierDpAgainstKernel:
+    """The frontier DP, called directly, against the kernel: the same
+    decision, witness mask, gamma and orientation."""
+
+    @given(digraphs(12))
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_digraphs(self, d):
+        assert_routes_agree(d)
+
+    @given(digraphs(6), digraphs(6))
+    @settings(max_examples=100, deadline=None)
+    def test_disconnected(self, a, b):
+        assert_routes_agree(disjoint_union(a, b))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_zero_edges_and_tournaments(self, n):
+        assert_routes_agree(Digraph(n, ()))
+        assert_routes_agree(transitive_tournament(n))
+
+    @pytest.mark.parametrize("n", range(2, 23, 2))
+    def test_alternating_paths_and_reversals(self, n):
+        assert_routes_agree(alternating_path(n))
+        assert_routes_agree(reverse(alternating_path(n)))
+
+    def test_fixed_graphs(self):
+        for g in (petersen_graph(), counterexample_tree(), tight_bound_graph(9)):
+            assert engine._witness_dp(g) == engine._witness_scan(g)
+        assert engine._witness_dp(Graph(0, ())) == engine._witness_scan(Graph(0, ()))
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(7, ((0, 1), (0, 4), (0, 6), (1, 5), (2, 3))),
+            Graph(9, ((1, 2), (1, 3), (4, 5), (4, 8), (5, 7))),
+            Graph(10, ((1, 2), (1, 5), (4, 6), (4, 8), (6, 7), (7, 9))),
+        ],
+    )
+    def test_walk_masks_its_targets(self, g):
+        # Shifting a target down borrows across rows when a count would go
+        # negative; unmasked, such a bit reaches a wrong but reachable
+        # state and the walk returns an unfriendly labeling.
+        assert engine._witness_dp(g) == engine._witness_scan(g)
+
+    @pytest.mark.parametrize("n", [10, 16, 22])
+    def test_caterpillars(self, n):
+        g = caterpillar(n)
+        assert sorted(set(g.degrees())) == [1, 3]
+        assert engine._witness_dp(g) == engine._witness_scan(g)
+
+
+def refuse_dp(*args, **kwargs):
+    raise AssertionError("frontier DP started")
+
+
+class TestRouting:
+    @pytest.mark.parametrize("n", range(18, 61, 2))
+    def test_alternating_paths_go_to_the_dp(self, monkeypatch, n):
+        monkeypatch.setattr(engine, "_labelings", refuse_scan)
+        report = is_cordial(alternating_path(n))
+        assert (report is None) == (n % 12 == 10)
+        if report is not None:
+            assert is_friendly(report.labeling) and is_balanced_triple(report.gamma)
+            assert report.labeling.label(0) == 0
+
+    def test_dp_layers_are_capped(self):
+        # Every layer is kept for the witness walk: alternating_path(250)
+        # needs under 64 MiB of bitsets, alternating_path(260) more.
+        assert engine._dp_pays(250, alternating_path(250).arcs)
+        assert not engine._dp_pays(260, alternating_path(260).arcs)
+
+    @pytest.mark.parametrize("n", [22, 28, 34, 46])
+    def test_caterpillars_go_to_the_dp(self, monkeypatch, n):
+        monkeypatch.setattr(engine, "_labelings", refuse_scan)
+        assert (is_orientable(caterpillar(n)) is None) == (n % 12 == 10)
+
+    def test_dense_and_small_inputs_stay_on_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(engine, "_frontier_layers", refuse_dp)
+        for n in range(1, 9):
+            is_orientable(complete_graph(n))
+            is_cordial(transitive_tournament(n))
+        for n in range(3, 19):
+            assert is_orientable(tight_bound_graph(n)) is not None
+        assert is_orientable(petersen_graph()) is None
+        assert is_orientable(counterexample_tree()) is None
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_seeded_sparse_digraphs_stay_on_the_kernel(self, monkeypatch, seed):
+        monkeypatch.setattr(engine, "_frontier_layers", refuse_dp)
+        for n in (14, 16, 18):
+            d = sparse_digraph(n, seed)
+            assert is_cordial(d) == engine._cordial_scan(d)

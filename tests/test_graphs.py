@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import pytest
 
@@ -139,6 +140,24 @@ class TestOrientation:
             reverse(d)
         assert sys.getallocatedblocks() - before < 200
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: path_graph(9),
+            lambda: complete_graph(6),
+            lambda: alternating_path(12),
+            lambda: VertexLabeling(13, 0b1011001110001).labels(),
+        ],
+        ids=["path_graph", "complete_graph", "alternating_path", "labels"],
+    )
+    def test_repeated_builders_leave_no_blocks(self, build):
+        # Each builds tuples of its own length, so no other test's calls
+        # have filled that length's free list.
+        before = sys.getallocatedblocks()
+        for _ in range(3000):
+            build()
+        assert sys.getallocatedblocks() - before < 200
+
 
 class TestVertexLabeling:
     def test_from_ones_and_labels(self):
@@ -160,6 +179,17 @@ class TestVertexLabeling:
     def test_bad_label_value(self):
         with pytest.raises(ValueError):
             VertexLabeling.from_labels((0, 2))
+
+    def test_kept_labelings_are_small(self):
+        # Slotted, a labeling of 60 vertices costs its object, its mask
+        # and a list slot, about 90 bytes; with a __dict__ it was 131.
+        tracemalloc.start()
+        try:
+            kept = [VertexLabeling(60, 1 << 59 | i) for i in range(2000)]
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert size / len(kept) < 110
 
 
 class TestNamedGraphs:

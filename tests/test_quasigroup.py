@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,15 @@ class TestValidateLatin:
     def test_ragged_raises(self):
         with pytest.raises(ValueError, match="ragged"):
             validate_latin([[0, 1], [1]])
+
+    def test_repeated_raw_rows_leave_no_blocks(self):
+        # A tuple grown from a generator ends on another length's free
+        # list (see graphs.orient); 7 rows is a length no other test uses.
+        rows = [[(i + j) % 7 for j in range(7)] for i in range(7)]
+        before = sys.getallocatedblocks()
+        for _ in range(3000):
+            validate_latin(rows)
+        assert sys.getallocatedblocks() - before < 200
 
 
 class TestZ3MinusInstance:
