@@ -10,6 +10,7 @@ path, ``-`` for stdin, or a generator name like ``petersen`` or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -60,18 +61,21 @@ class RunReport:
         )
 
     def to_text(self) -> str:
-        def fmt(value) -> str:
-            if isinstance(value, bool):
-                return "true" if value else "false"
-            if isinstance(value, (list, tuple)):
-                return " ".join(fmt(x) for x in value) if value else "(none)"
-            return str(value)
-
         lines = [f"command: {self.command}"]
-        lines += [f"input.{k}: {fmt(v)}" for k, v in self.inputs.items()]
-        lines += [f"{k}: {fmt(v)}" for k, v in self.verdicts.items()]
+        lines += [f"input.{k}: {_fmt(v)}" for k, v in self.inputs.items()]
+        lines += [f"{k}: {_fmt(v)}" for k, v in self.verdicts.items()]
         lines.append(f"timing_seconds: {self.timing_seconds}")
         return "\n".join(lines)
+
+
+def _fmt(value) -> str:
+    """One report value as text.  Module level: a recursive nested function
+    is a reference cycle, left for the cyclic collector on every call."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return " ".join(_fmt(x) for x in value) if value else "(none)"
+    return str(value)
 
 
 def _resolve_source(source: str) -> Union[Graph, Digraph]:
@@ -320,10 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.
+
+    A parser is cyclic garbage that only the cyclic collector frees, and
+    building one takes about 2 ms, so ``run`` does not build one per call.
+    Parsing reads the parser and changes nothing in it.
+    """
+    return build_parser()
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     t0 = time.perf_counter()

@@ -33,15 +33,15 @@ two searches that return the same witness, by the estimate of
   vertices that still have an unplaced neighbour.  It costs about
   n * (n/2) * 2^w for frontier width w: paths have w = 1, so
   ``is_cordial(alternating_path(22))`` takes under 1 ms instead of the
-  kernel's 0.1 s.  ``_frontier_layers`` is also the layer builder of
-  ``search.path_cordial_dp`` and ``search.scan_alternating_paths``.
+  kernel's 0.1 s.  Its witness walk, ``_frontier_first_mask``, is also
+  ``search.path_cordial_dp``, and ``_frontier_layers`` the layer builder
+  of ``search.scan_alternating_paths``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from operator import and_
 from typing import Iterator
 
 from .graphs import (
@@ -491,6 +491,18 @@ def _arc_layout(
     )
 
 
+def _balanced_goal(m: int, width: int) -> int:
+    """Bits alpha * width + beta of the balanced triples that sum to m.
+
+    A triple summing to m is balanced exactly when each count lies in the
+    window {floor(m/3), ceil(m/3)}.
+    """
+    window = range(m // 3, (m + 2) // 3 + 1)
+    return sum(
+        1 << (a * width + b) for a in window for b in window if m - a - b in window
+    )
+
+
 def _frontier_first_mask(
     n: int, pairs: tuple[tuple[int, int], ...], directed: bool
 ) -> int | None:
@@ -502,24 +514,24 @@ def _frontier_first_mask(
     share a label.  Counts are capped at ceil(m/3) and vertex 0 is pinned
     to 0.  The first friendly mask in ascending order is found by walking
     from vertex n - 1 down with one target bitset per frontier pattern
-    (the ones and counts that still complete to a friendly labeling with
-    a balanced triple, given the labels already fixed), choosing label 0
-    whenever a reachable state meets its target.
+    (the reachable ones and counts that still complete to a friendly
+    labeling with a balanced triple, given the labels already fixed),
+    choosing label 0 whenever a reachable state meets its target.  Every
+    target bit is a valid state and a vertex's shift never carries out of
+    one, so before & (target >> shift) is exactly the reachable states
+    that the vertex's label takes into the target: no re-mask is needed.
     """
     m = len(pairs)
     cap = (m + 2) // 3
-    window = range(m // 3, cap + 1)
     max_ones = (n + 1) // 2
     if directed:
         width, one, shifts, valid = _arc_layout(n, pairs, cap, max_ones)
-        goal = sum(
-            1 << (a * width + b) for a in window for b in window if m - a - b in window
-        )
+        goal = _balanced_goal(m, width)
     else:
         one = cap + 1 + _most_lower(n, pairs)
         shifts = ((1, 0), (0, 1))
         valid = sum(((1 << (cap + 1)) - 1) << (k * one) for k in range(max_ones + 1))
-        goal = sum(1 << lam for lam in window)
+        goal = sum(1 << lam for lam in range(m // 3, cap + 1))
     plan = _frontier_plan(n, pairs, shifts, one, pin=True)
     layers = [[1], *_frontier_layers(plan, valid)]
     target = [sum(goal << (ones * one) for ones in {n // 2, max_ones})]
@@ -534,8 +546,8 @@ def _frontier_first_mask(
             for q, sources in moves:
                 for p, x, shift in sources:
                     if x == label:
-                        pulled[p] = (target[q] >> shift) & valid
-            if any(map(and_, before, pulled)):
+                        pulled[p] = before[p] & (target[q] >> shift)
+            if any(pulled):
                 break
         else:
             raise AssertionError("frontier DP walk lost a state")

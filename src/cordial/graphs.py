@@ -5,7 +5,7 @@ pairs with u < v, sorted lexicographically; an edge's position in that
 order is its canonical index.  An orientation packs one direction bit per
 canonical edge index into a single integer, so enumerating all 2^m
 orientations of a graph is plain integer counting.  All types are frozen
-values, safe to share across any number of workers.
+values.
 
 A small text format moves graphs in and out of files: the first line is
 ``n m``, followed by m lines that are either ``u v`` for an undirected

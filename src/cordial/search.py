@@ -8,11 +8,12 @@ symmetry pins vertex 0's label to 0 and halves the labeling scan.  The
 orientation census enumerates labelings once per graph, not once per
 orientation: see ``noncordial_orientations``.
 
-The path DP reads the engine's frontier layers, which on a path keep one
+The path DP is the engine's frontier DP, whose layers on a path keep one
 bitset per label of the last vertex: bit ones * (cap + 2)^2 +
 alpha * (cap + 2) + beta marks a reachable (ones used, +1 count, -1
 count), so an arc is a shift of the whole set, not a loop over states.
-Arc j of an alternating path depends on j alone, so
+``path_cordial_dp`` checks the path order and returns the engine's
+witness.  Arc j of an alternating path depends on j alone, so
 ``alternating_path(n)`` is the first n vertices of any longer one, and
 ``scan_alternating_paths`` reads every size's verdict from one pass.
 """
@@ -25,7 +26,15 @@ import weakref
 from dataclasses import dataclass
 from typing import Iterator
 
-from .engine import _arc_layout, _frontier_layers, _frontier_plan, _labelings
+from .engine import (
+    _DP_MAX_BITS,
+    _arc_layout,
+    _balanced_goal,
+    _frontier_first_mask,
+    _frontier_layers,
+    _frontier_plan,
+    _labelings,
+)
 from .graphs import (
     Digraph,
     Graph,
@@ -159,76 +168,24 @@ def noncordial_orientations(
     return report
 
 
-def _balanced_pairs(m: int) -> list[tuple[int, int]]:
-    """(alpha, beta) of the balanced triples that sum to m, ascending.
-
-    A triple summing to m is balanced exactly when each count lies in the
-    window {floor(m/3), ceil(m/3)}.
-    """
-    window = range(m // 3, (m + 2) // 3 + 1)
-    return [(a, b) for a in window for b in window if m - a - b in window]
-
-
 def path_cordial_dp(digraph: Digraph) -> VertexLabeling | None:
     """Polynomial-time cordiality decision for an oriented path.
 
     The underlying graph must be the path 0 - 1 - ... - (n-1) with arcs
-    listed in path order.  The engine's frontier layers keep, per vertex
-    and label of that vertex, one int whose bits are the reachable (ones
-    used, +1 count, -1 count), the counts capped at ceil(m/3); the three
-    arc labels become a row shift, a bit shift and no shift, and a label
-    1 a block shift.  The witness is the smallest final (ones, alpha,
-    beta, last label) with friendly ones and a balanced triple, walked
-    back preferring label 0.
+    listed in path order.  The answer is ``is_cordial``'s, from the
+    engine's frontier DP (``_frontier_first_mask``) whatever the size:
+    the first friendly labeling in ascending mask order, vertex 0 labeled
+    0, with a balanced triple, or None.
     """
     n = digraph.vertex_count
     arcs = digraph.arcs
     if n < 1 or len(arcs) != n - 1:
         raise ValueError("input is not an oriented path")
-    forward = []
     for j, (t, h) in enumerate(arcs):
         if {t, h} != {j, j + 1}:
             raise ValueError("input is not an oriented path in path order")
-        forward.append(t == j)
-    if n == 1:
-        return VertexLabeling(1, 0)
-    m = n - 1
-    w, one, shifts, valid = _arc_layout(n, arcs, (m + 2) // 3, (n + 1) // 2)
-    layers = list(_frontier_layers(_frontier_plan(n, arcs, shifts, one, False), valid))
-
-    def before(i: int, ones: int, alpha: int, beta: int, label: int):
-        """(label, alpha, beta) of vertex i - 1, label 0 first, in a state
-        that arc i - 1 takes to (ones, alpha, beta, label) at vertex i."""
-        ones -= label
-        for q in (0, 1):
-            d = (label - q) if forward[i - 1] else (q - label)
-            a, b = alpha - (d == 1), beta - (d == -1)
-            if min(ones, a, b) >= 0 and layers[i - 1][q] >> (ones * one + a * w + b) & 1:
-                return q, a, b
-        return None
-
-    final = next(
-        (
-            (ones, alpha, beta, last)
-            for ones in sorted({n // 2, (n + 1) // 2})
-            for alpha, beta in _balanced_pairs(m)
-            for last in (0, 1)
-            if before(n - 1, ones, alpha, beta, last)
-        ),
-        None,
-    )
-    if final is None:
-        return None
-    ones, alpha, beta, last = final
-    labels = [0] * n
-    labels[n - 1] = last
-    for i in range(n - 1, 0, -1):
-        step = before(i, ones, alpha, beta, labels[i])
-        if step is None:
-            raise AssertionError("DP reconstruction lost a state")
-        ones -= labels[i]
-        labels[i - 1], alpha, beta = step
-    return VertexLabeling.from_labels(labels)
+    mask = _frontier_first_mask(n, arcs, True)
+    return None if mask is None else VertexLabeling(n, mask)
 
 
 def scan_alternating_paths(n_max: int) -> list[int]:
@@ -240,18 +197,26 @@ def scan_alternating_paths(n_max: int) -> list[int]:
     reads each even prefix's verdict from the layer at its last vertex:
     pruning only drops states whose counts or ones exceed the cap, and
     counts never fall, so the prefix's own reachable states are the ones
-    within its caps.
+    within its caps.  An n_max whose layer of two bitsets would exceed
+    the engine's ``_DP_MAX_BITS`` is refused.
     """
     if n_max < 2 or n_max % 2:
         raise ValueError("n_max must be an even integer >= 2")
+    # _arc_layout's size: two patterns of n_max/2 + 1 square blocks whose
+    # side is the cap ceil((n_max - 1)/3) plus 2.
+    bits = 2 * (n_max // 2 + 1) * ((n_max + 1) // 3 + 2) ** 2
+    if bits > _DP_MAX_BITS:
+        raise ValueError(
+            f"n_max={n_max} needs {bits} bits per DP layer, over the "
+            f"{_DP_MAX_BITS}-bit cap"
+        )
     arcs = alternating_path(n_max).arcs
     w, one, shifts, valid = _arc_layout(n_max, arcs, (n_max + 1) // 3, (n_max + 1) // 2)
     plan = _frontier_plan(n_max, arcs, shifts, one, False)
     failing = []
     for n, layer in enumerate(_frontier_layers(plan, valid), start=1):
         if n % 2 == 0:
-            ones = n // 2
-            goal = sum(1 << (ones * one + a * w + b) for a, b in _balanced_pairs(n - 1))
+            goal = _balanced_goal(n - 1, w) << (n // 2 * one)
             if not any(s & goal for s in layer):
                 failing.append(n)
     return failing

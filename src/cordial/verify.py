@@ -551,6 +551,10 @@ def _check_path_dp() -> str:
                     and is_balanced_triple(gamma_triple(d, dp_witness)),
                     f"DP witness fails validation on n={n} bits={o.bit_string()}",
                 )
+                _expect(
+                    dp_witness.mask == direct.labeling.mask,
+                    f"DP witness is not the scan's on n={n} bits={o.bit_string()}",
+                )
             count += 1
     return f"{count} oriented paths cross-validated"
 

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -177,6 +178,13 @@ class TestScanAndSurveys:
         assert code == 2
         assert "error:" in err
 
+    def test_scan_alternating_oversize_is_input_error(self):
+        t0 = time.perf_counter()
+        code, _, err = invoke(["scan-alternating", "100000"])
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2
+        assert "error:" in err
+
     def test_scan_alternating_150(self):
         t0 = time.perf_counter()
         code, out, _ = invoke(["scan-alternating", "150", "--json"])
@@ -197,6 +205,16 @@ class TestScanAndSurveys:
 
 
 class TestBounds:
+    def test_repeated_runs_leave_no_blocks(self):
+        # A parser built per call and a recursive formatter nested in
+        # RunReport.to_text are cyclic garbage: 50 runs left about 6,500
+        # blocks until a full collection.
+        invoke(["bounds", "6"])
+        before = sys.getallocatedblocks()
+        for _ in range(50):
+            invoke(["bounds", "6"])
+        assert sys.getallocatedblocks() - before < 200
+
     def test_bounds_6(self):
         code, out, _ = invoke(["bounds", "6"])
         assert code == 0

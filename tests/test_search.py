@@ -218,7 +218,10 @@ class TestPathDp:
         g = path_graph(n)
         for o in orientations(g):
             d = orient(g, o)
-            assert (path_cordial_dp(d) is None) == (engine._cordial_scan(d) is None)
+            lab, report = path_cordial_dp(d), engine._cordial_scan(d)
+            assert (lab is None) == (report is None)
+            if lab is not None:
+                assert lab.mask == report.labeling.mask
 
 
 class TestScanAlternating:
@@ -236,16 +239,25 @@ class TestScanAlternating:
     def test_reach_150_is_the_mod_12_family(self):
         assert scan_alternating_paths(150) == list(range(10, 151, 12))
 
+    def test_oversize_layer_refused(self):
+        # 2 * (n_max/2 + 1) * (ceil((n_max - 1)/3) + 2)^2 bits per layer
+        # first exceeds the engine's 64 MiB cap at n_max = 1686.
+        with pytest.raises(ValueError, match="bits per DP layer"):
+            scan_alternating_paths(1686)
+
 
 def _path_dp_oracle(d):
     """Reference path DP: a set of (ones, alpha, beta, label) per vertex,
-    every layer kept, smallest final state walked back preferring 0."""
+    vertex 0 pinned to label 0, every layer kept.  The witness is walked
+    back from vertex n - 1 with the set of reachable states that still
+    complete to a friendly balanced labeling, label 0 first: the first
+    friendly mask in ascending order."""
     n = d.vertex_count
     forward = [t == j for j, (t, h) in enumerate(d.arcs)]
     m = n - 1
     cap = (m + 2) // 3
     max_ones = (n + 1) // 2
-    states = [{(0, 0, 0, 0), (1, 0, 0, 1)}]
+    states = [{(0, 0, 0, 0)}]
     for i in range(1, n):
         nxt = set()
         for ones, alpha, beta, prev in states[i - 1]:
@@ -255,25 +267,25 @@ def _path_dp_oracle(d):
                 if a2 <= cap and b2 <= cap and ones + x <= max_ones:
                     nxt.add((ones + x, a2, b2, x))
         states.append(nxt)
-    finals = sorted(
+    target = {
         s
         for s in states[-1]
         if s[0] in {n // 2, (n + 1) // 2}
         and max(s[1], s[2], m - s[1] - s[2]) - min(s[1], s[2], m - s[1] - s[2]) <= 1
-    )
-    if not finals:
+    }
+    if not target:
         return None
-    ones, alpha, beta, last = finals[0]
     labels = [0] * n
-    labels[n - 1] = last
-    for i in range(n - 1, 0, -1):
-        for q in (0, 1):
-            diff = (labels[i] - q) if forward[i - 1] else (q - labels[i])
-            prev = (ones - labels[i], alpha - (diff == 1), beta - (diff == -1), q)
-            if min(prev) >= 0 and prev in states[i - 1]:
-                ones, alpha, beta, _ = prev
-                labels[i - 1] = q
-                break
+    for i in range(n - 1, -1, -1):
+        labels[i] = x = min(s[3] for s in target)
+        if i:
+            target = states[i - 1] & {
+                (ones - x, alpha - (diff == 1), beta - (diff == -1), q)
+                for ones, alpha, beta, label in target
+                if label == x
+                for q in (0, 1)
+                for diff in [(x - q) if forward[i - 1] else (q - x)]
+            }
     return sum(bit << v for v, bit in enumerate(labels))
 
 
@@ -296,12 +308,20 @@ def oriented_paths(draw):
 
 
 class TestPathDpAgainstOracle:
-    """The bitset layers against the set-of-tuples DP they replaced."""
+    """The frontier DP's path answers against a set-of-tuples DP."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_every_orientation(self, n):
         for bits in range(1 << (n - 1)):
             _assert_dp_matches_oracle(_oriented_path(n, bits))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_oracle_is_the_kernel(self, n):
+        for bits in range(1 << (n - 1)):
+            d = _oriented_path(n, bits)
+            report = engine._cordial_scan(d)
+            expected = None if report is None else report.labeling.mask
+            assert _path_dp_oracle(d) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(oriented_paths())
