@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .engine import OrientabilityWitness, _witness_scan
+from .engine import OrientabilityWitness, _orientable_witness, _scan_first_mask
 from .graphs import (
     Graph,
     bichromatic_capacity,
@@ -102,9 +102,12 @@ def verify_bound(n: int) -> BoundCheckReport:
         for combo in combinations(all_edges, m):
             checked += 1
             g = Graph(n, combo)
-            if _witness_scan(g) is not None:
+            if _scan_first_mask(n, g.edges, False) is not None:
                 violations.append(g)
-    tight = _witness_scan(tight_bound_graph(n))
+    tight_graph = tight_bound_graph(n)
+    tight = _orientable_witness(
+        tight_graph, _scan_first_mask(n, tight_graph.edges, False)
+    )
     return BoundCheckReport(
         n=n,
         graphs_checked=checked,

@@ -15,11 +15,13 @@ label swaps the +1 and -1 arc counts, so vertex 0 can be pinned to label
 normalized to label vertex 0 with 0.
 
 ``is_cordial`` and ``is_orientable`` answer inputs with more edges than
-``max_edges(n)`` without a scan, and route every other input to one of
-two searches that return the same witness, by the estimate of
-``_dp_pays``:
+``max_edges(n)`` without a scan, and hand every other input to one of
+two searches with one contract, ``(n, pairs, directed) -> first mask or
+None``, chosen by the estimate of ``_dp_pays``; the decider builds its
+report from that mask:
 
-- The kernel, ``_labelings``, enumerates friendly labelings.  It lists
+- The kernel, ``_scan_first_mask`` over ``_labelings``, enumerates
+  friendly labelings and tests lambda against the window first.  It lists
   the label-1 subsets of the low half of the vertices once per call,
   with the XORs of their incidence and head masks, walks the high half's
   subsets in ascending order the same way, and joins each to the low
@@ -29,20 +31,23 @@ two searches that return the same witness, by the estimate of
   (tracemalloc).  Every other labeling scan reads it too.
 - The frontier DP (vertex separation, Kinnersley 1992), for sparse
   inputs, places the vertices in natural order and keeps one int bitset
-  over (ones used, counts) per label pattern of the frontier: the placed
-  vertices that still have an unplaced neighbour.  It costs about
-  n * (n/2) * 2^w for frontier width w: paths have w = 1, so
-  ``is_cordial(alternating_path(22))`` takes under 1 ms instead of the
-  kernel's 0.1 s.  Its witness walk, ``_frontier_first_mask``, is also
-  ``search.path_cordial_dp``, and ``_frontier_layers`` the layer builder
-  of ``search.scan_alternating_paths``.
+  per label pattern of the frontier: the placed vertices that still
+  have an unplaced neighbour.  ``_layout`` alone knows where a state
+  sits in a bitset: (ones used, alpha, beta) for digraphs, (ones used,
+  lambda) for graphs, whose bitsets are so about m/3 times smaller.
+  It costs about n * (n/2) * 2^w for frontier width w: paths have
+  w = 1, so ``is_cordial(alternating_path(22))`` takes under 1 ms
+  instead of the kernel's 0.1 s.  Its witness walk,
+  ``_frontier_first_mask``, is also ``search.path_cordial_dp``, and
+  ``_frontier_layers`` the layer builder of
+  ``search.scan_alternating_paths``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graphs import (
     Digraph,
@@ -178,42 +183,47 @@ def is_cordial(digraph: Digraph) -> LabelingReport | None:
     both routes return the same witness.
     """
     n = digraph.vertex_count
-    if n >= 2 and digraph.arc_count > max_edges(n):
+    arcs = digraph.arcs
+    if n >= 2 and len(arcs) > max_edges(n):
         return None
-    if _dp_pays(n, digraph.arcs):
-        return _cordial_dp(digraph)
-    return _cordial_scan(digraph)
-
-
-def _cordial_report(digraph: Digraph, mask: int | None) -> LabelingReport | None:
+    first_mask = _frontier_first_mask if _dp_pays(n, arcs, True) else _scan_first_mask
+    mask = first_mask(n, arcs, True)
     if mask is None:
         return None
-    labeling = VertexLabeling(digraph.vertex_count, mask)
+    labeling = VertexLabeling(n, mask)
     return LabelingReport(
         labeling=labeling, verdict=True, gamma=gamma_triple(digraph, labeling)
     )
 
 
-def _cordial_scan(digraph: Digraph) -> LabelingReport | None:
-    """is_cordial through the kernel.
+def _window(m: int) -> set[int]:
+    """The balanced window {floor(m/3), ceil(m/3)}: three counts summing to
+    m are pairwise within one exactly when each lies in it."""
+    return {m // 3, (m + 2) // 3}
 
-    A triple summing to m is balanced iff each count is in the window.
+
+def _scan_first_mask(
+    n: int, pairs: tuple[tuple[int, int], ...], directed: bool
+) -> int | None:
+    """The first friendly mask in ascending order, vertex 0 pinned to 0,
+    that passes the window test, read from the kernel.
+
+    Every decider needs lambda = m - |B| in the window, so it is tested
+    first.  Directed: alpha = |P| and beta = |B| - |P| must lie in it
+    too.  Undirected: lambda alone, since ``construct_witness_orientation``
+    splits the bichromatic pairs evenly.
     """
-    m = digraph.arc_count
-    window = {m // 3, (m + 2) // 3}
-    for mask, bi, plus in _labelings(digraph.vertex_count, digraph.arcs):
+    m = len(pairs)
+    window = _window(m)
+    for mask, bi, plus in _labelings(n, pairs):
         k = bi.bit_count()
-        alpha = plus.bit_count()
-        if m - k in window and alpha in window and k - alpha in window:
-            return _cordial_report(digraph, mask)
+        if m - k in window:
+            if not directed:
+                return mask
+            alpha = plus.bit_count()
+            if alpha in window and k - alpha in window:
+                return mask
     return None
-
-
-def _cordial_dp(digraph: Digraph) -> LabelingReport | None:
-    """is_cordial through the frontier DP."""
-    return _cordial_report(
-        digraph, _frontier_first_mask(digraph.vertex_count, digraph.arcs, True)
-    )
 
 
 @dataclass(frozen=True)
@@ -253,7 +263,7 @@ def construct_witness_orientation(
         raise ValueError("labeling is not friendly")
     m = graph.edge_count
     lam = lambda_count(graph, labeling)
-    if lam not in (m // 3, (m + 2) // 3):
+    if lam not in _window(m):
         raise ValueError(
             f"monochromatic count {lam} outside the balanced window for m={m}"
         )
@@ -284,36 +294,20 @@ def is_orientable(graph: Graph) -> OrientabilityWitness | None:
     cheaply (``_dp_pays``) go to it, with the same witness.
     """
     n = graph.vertex_count
-    if n >= 2 and graph.edge_count > max_edges(n):
+    edges = graph.edges
+    if n >= 2 and len(edges) > max_edges(n):
         return None
-    if _dp_pays(n, graph.edges):
-        return _witness_dp(graph)
-    return _witness_scan(graph)
+    first_mask = _frontier_first_mask if _dp_pays(n, edges, False) else _scan_first_mask
+    return _orientable_witness(graph, first_mask(n, edges, False))
 
 
 def _orientable_witness(graph: Graph, mask: int | None) -> OrientabilityWitness | None:
+    """The witness of a first mask, or None for no mask."""
     if mask is None:
         return None
     labeling = VertexLabeling(graph.vertex_count, mask)
     o = construct_witness_orientation(graph, labeling)
     return OrientabilityWitness(labeling, o, gamma_triple(orient(graph, o), labeling))
-
-
-def _witness_scan(graph: Graph) -> OrientabilityWitness | None:
-    """is_orientable through the kernel, without the edge-count certificate."""
-    m = graph.edge_count
-    window = {m // 3, (m + 2) // 3}
-    for mask, bi, _ in _labelings(graph.vertex_count, graph.edges):
-        if m - bi.bit_count() in window:
-            return _orientable_witness(graph, mask)
-    return None
-
-
-def _witness_dp(graph: Graph) -> OrientabilityWitness | None:
-    """is_orientable through the frontier DP, without the certificate."""
-    return _orientable_witness(
-        graph, _frontier_first_mask(graph.vertex_count, graph.edges, False)
-    )
 
 
 # Kernel labelings per unit of the DP's estimate below which the kernel
@@ -338,15 +332,74 @@ def _highest_neighbours(n: int, pairs: tuple[tuple[int, int], ...]) -> list[int]
     return last
 
 
-def _dp_pays(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
+Shifts = tuple[tuple[int, int], tuple[int, int]]
+
+
+class _Layout(NamedTuple):
+    """Where the frontier DP keeps a state in a pattern's bitset.
+
+    Directed: bit ones * one + alpha * width + beta marks ones label-1
+    vertices, a +1 count alpha and a -1 count beta, with one = width^2:
+    a 0 -> 1 arc shifts by a row, a 1 -> 0 arc by one bit.  Undirected:
+    bit ones * one + lambda with one = width, and a pair whose ends share
+    a label adds one to the monochromatic count lambda.  ``shifts`` is a
+    pair's shift by [tail label][head label].  Counts are kept up to cap
+    and ones up to max_ones, and a bitset has at most ``size`` bits.
+    """
+
+    directed: bool
+    cap: int
+    max_ones: int
+    width: int
+    one: int
+    shifts: Shifts
+    size: int
+
+    def valid(self) -> int:
+        """The bits of the states kept."""
+        block = (1 << (self.cap + 1)) - 1
+        if self.directed:
+            block = sum(block << (a * self.width) for a in range(self.cap + 1))
+        return sum(block << (k * self.one) for k in range(self.max_ones + 1))
+
+    def goal(self, n: int, m: int) -> int:
+        """The bits of the friendly, balanced states of n vertices and m pairs."""
+        w = _window(m)
+        if self.directed:
+            counts = sum(
+                1 << (a * self.width + b) for a in w for b in w if m - a - b in w
+            )
+        else:
+            counts = sum(1 << lam for lam in w)
+        return sum(counts << (ones * self.one) for ones in {n // 2, (n + 1) // 2})
+
+
+def _layout(n: int, pairs: tuple[tuple[int, int], ...], directed: bool) -> _Layout:
+    """The layout of n vertices and these pairs, capped at ceil(m/3) and
+    ceil(n/2), the caps of every prefix too.  Spare rows and columns
+    hold the most pairs one vertex has towards lower vertices, so a
+    vertex's combined shift never carries into the next row or block
+    before ``valid`` clears it.  O(n + m): ``valid`` and ``goal`` are
+    built only when called."""
+    lower = [0] * n
+    for t, h in pairs:
+        lower[max(t, h)] += 1
+    cap = (len(pairs) + 2) // 3
+    max_ones = (n + 1) // 2
+    width = cap + 1 + max(lower, default=0)
+    one = width * width if directed else width
+    shifts = ((0, width), (1, 0)) if directed else ((1, 0), (0, 1))
+    return _Layout(directed, cap, max_ones, width, one, shifts, (max_ones + 1) * one)
+
+
+def _dp_pays(n: int, pairs: tuple[tuple[int, int], ...], directed: bool) -> bool:
     """True when the frontier DP's estimated work is well below the kernel's
     and its layers fit in ``_DP_MAX_BITS``.
 
     The DP's work is about n * (n/2) * 2^w for the natural order's
     frontier width w (bitsets of n/2 ones rows, 2^w patterns per
-    vertex); the kernel reads about C(n - 1, floor(n/2)) labelings.  A
-    bitset has at most (n/2 + 1) * side^2 bits, side = ceil(m/3) + 1 plus
-    the spare columns (``_arc_layout``).  O(n + m).
+    vertex); the kernel reads about C(n - 1, floor(n/2)) labelings.  The
+    layers hold one bitset of ``_layout``'s size per pattern.  O(n + m).
     """
     if n < 2:
         return False
@@ -363,29 +416,26 @@ def _dp_pays(n: int, pairs: tuple[tuple[int, int], ...]) -> bool:
         if n * (n // 2) << w >= budget:
             return False
         patterns += 1 << w
-    side = (len(pairs) + 2) // 3 + 1 + _most_lower(n, pairs)
-    return patterns * (n // 2 + 1) * side * side <= _DP_MAX_BITS
+    return patterns * _layout(n, pairs, directed).size <= _DP_MAX_BITS
 
 
 # One vertex's step: (w', moves).  Each move (q, sources) lists the
 # (p, x, shift) that send frontier pattern p before the vertex, labeled
 # x, to pattern q after it, shifting the bitset by shift.
 Step = tuple[int, list[tuple[int, list[tuple[int, int, int]]]]]
-Shifts = tuple[tuple[int, int], tuple[int, int]]
 
 
 def _frontier_plan(
-    n: int, pairs: tuple[tuple[int, int], ...], shifts: Shifts, one: int, pin: bool
+    n: int, pairs: tuple[tuple[int, int], ...], layout: _Layout, pin: bool
 ) -> list[Step]:
     """The step of each vertex i, in natural order.
 
     The frontier before vertex i is the vertices below i with a neighbour
     at i or above, in ascending order; a pattern p gives the k-th of them
     label bit k of p.  Labeling i with x shifts a bitset by x * one (one
-    more 1) plus ``shifts[tail label][head label]`` for each pair joining
-    i to a lower vertex.  pin gives vertex 0 label 0 only.  Vertices
-    whose frontier looks the same share one step (the inner vertices of
-    a path use two).
+    more 1) plus the layout's shift for each pair joining i to a lower
+    vertex.  pin gives vertex 0 label 0 only.  Vertices whose frontier
+    looks the same share one step (the inner vertices of a path use two).
     """
     last = _highest_neighbours(n, pairs)
     lower: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
@@ -407,7 +457,7 @@ def _frontier_plan(
         )
         step = known.get(key)
         if step is None:
-            step = known[key] = _frontier_step(*key, shifts, one)
+            step = known[key] = _frontier_step(*key, layout.shifts, layout.one)
         plan.append(step)
         frontier = [v for v in frontier if last[v] > i]
         if last[i] > i:
@@ -462,57 +512,13 @@ def _frontier_layers(plan: list[Step], valid: int) -> Iterator[list[int]]:
         yield layer
 
 
-def _most_lower(n: int, pairs: tuple[tuple[int, int], ...]) -> int:
-    """Most pairs joining one vertex to lower vertices."""
-    lower = [0] * n
-    for t, h in pairs:
-        lower[max(t, h)] += 1
-    return max(lower, default=0)
-
-
-def _arc_layout(
-    n: int, pairs: tuple[tuple[int, int], ...], cap: int, max_ones: int
-) -> tuple[int, int, Shifts, int]:
-    """(width, one, shifts, valid) of the (ones, alpha, beta) bitsets.
-
-    Bit ones * one + alpha * width + beta marks ones label-1 vertices, a
-    +1 count alpha and a -1 count beta, the counts at most cap and ones
-    at most max_ones: a 0 -> 1 arc shifts by a row, a 1 -> 0 arc by one
-    bit.  Spare columns and rows hold the most arcs one vertex adds
-    towards lower vertices, so a vertex's combined shift never carries
-    into the next row or block before ``valid`` clears it.
-    """
-    width = cap + 1 + _most_lower(n, pairs)
-    one = width * width
-    row = (1 << (cap + 1)) - 1
-    block = sum(row << (a * width) for a in range(cap + 1))
-    return width, one, ((0, width), (1, 0)), sum(
-        block << (k * one) for k in range(max_ones + 1)
-    )
-
-
-def _balanced_goal(m: int, width: int) -> int:
-    """Bits alpha * width + beta of the balanced triples that sum to m.
-
-    A triple summing to m is balanced exactly when each count lies in the
-    window {floor(m/3), ceil(m/3)}.
-    """
-    window = range(m // 3, (m + 2) // 3 + 1)
-    return sum(
-        1 << (a * width + b) for a in window for b in window if m - a - b in window
-    )
-
-
 def _frontier_first_mask(
     n: int, pairs: tuple[tuple[int, int], ...], directed: bool
 ) -> int | None:
-    """The kernel's witness mask, computed by the frontier DP.
+    """``_scan_first_mask``'s mask, computed by the frontier DP.
 
-    Directed: the bitsets are over (ones, alpha, beta) (``_arc_layout``).
-    Undirected: they are over (ones, lambda), bit ones * one + lambda,
-    and a pair adds one to the monochromatic count lambda when its ends
-    share a label.  Counts are capped at ceil(m/3) and vertex 0 is pinned
-    to 0.  The first friendly mask in ascending order is found by walking
+    The bitsets are laid out by ``_layout`` and vertex 0 is pinned to 0.
+    The first friendly mask in ascending order is found by walking
     from vertex n - 1 down with one target bitset per frontier pattern
     (the reachable ones and counts that still complete to a friendly
     labeling with a balanced triple, given the labels already fixed),
@@ -521,20 +527,10 @@ def _frontier_first_mask(
     one, so before & (target >> shift) is exactly the reachable states
     that the vertex's label takes into the target: no re-mask is needed.
     """
-    m = len(pairs)
-    cap = (m + 2) // 3
-    max_ones = (n + 1) // 2
-    if directed:
-        width, one, shifts, valid = _arc_layout(n, pairs, cap, max_ones)
-        goal = _balanced_goal(m, width)
-    else:
-        one = cap + 1 + _most_lower(n, pairs)
-        shifts = ((1, 0), (0, 1))
-        valid = sum(((1 << (cap + 1)) - 1) << (k * one) for k in range(max_ones + 1))
-        goal = sum(1 << lam for lam in range(m // 3, cap + 1))
-    plan = _frontier_plan(n, pairs, shifts, one, pin=True)
-    layers = [[1], *_frontier_layers(plan, valid)]
-    target = [sum(goal << (ones * one) for ones in {n // 2, max_ones})]
+    layout = _layout(n, pairs, directed)
+    plan = _frontier_plan(n, pairs, layout, pin=True)
+    layers = [[1], *_frontier_layers(plan, layout.valid())]
+    target = [layout.goal(n, len(pairs))]
     if not layers[-1][0] & target[0]:
         return None
     mask = 0

@@ -158,6 +158,24 @@ def _balanced_assignments(n: int, symbols: Sequence[int]):
             return
 
 
+def _first_balanced(
+    n: int,
+    symbols: Sequence[int],
+    pairs: Sequence[tuple[int, int]],
+    op_rows: Sequence[Sequence[int]],
+) -> tuple[int, ...] | None:
+    """First balanced assignment, in ``_balanced_assignments`` order, under
+    which the pair labels op_rows[f(u)][f(v)] are balanced over the table."""
+    q = len(op_rows)
+    for f in _balanced_assignments(n, symbols):
+        counts = [0] * q
+        for u, v in pairs:
+            counts[op_rows[f[u]][f[v]]] += 1
+        if _counts_within_one(counts):
+            return f
+    return None
+
+
 def is_subset_q_cordial(
     digraph: Digraph, instance: CordialInstance
 ) -> tuple[int, ...] | None:
@@ -167,16 +185,9 @@ def is_subset_q_cordial(
     it; arc labels op(f(tail), f(head)) must be balanced over the whole
     table.  Labelings are tried in lexicographic order.
     """
-    n = digraph.vertex_count
-    q = instance.table.order
-    op_rows = instance.table.rows
-    for f in _balanced_assignments(n, instance.label_subset):
-        arc_counts = [0] * q
-        for t, h in digraph.arcs:
-            arc_counts[op_rows[f[t]][f[h]]] += 1
-        if _counts_within_one(arc_counts):
-            return f
-    return None
+    return _first_balanced(
+        digraph.vertex_count, instance.label_subset, digraph.arcs, instance.table.rows
+    )
 
 
 def is_a_cordial(graph: Graph, table: CayleyTable) -> tuple[int, ...] | None:
@@ -189,16 +200,9 @@ def is_a_cordial(graph: Graph, table: CayleyTable) -> tuple[int, ...] | None:
     """
     if not table.is_commutative():
         raise ValueError("table is not commutative; undirected edges need one")
-    n = graph.vertex_count
-    q = table.order
-    op_rows = table.rows
-    for f in _balanced_assignments(n, tuple(range(q))):
-        edge_counts = [0] * q
-        for u, v in graph.edges:
-            edge_counts[op_rows[f[u]][f[v]]] += 1
-        if _counts_within_one(edge_counts):
-            return f
-    return None
+    return _first_balanced(
+        graph.vertex_count, tuple(range(table.order)), graph.edges, table.rows
+    )
 
 
 def parse_cayley_text(text: str) -> CayleyTable:

@@ -9,11 +9,11 @@ orientation census enumerates labelings once per graph, not once per
 orientation: see ``noncordial_orientations``.
 
 The path DP is the engine's frontier DP, whose layers on a path keep one
-bitset per label of the last vertex: bit ones * (cap + 2)^2 +
-alpha * (cap + 2) + beta marks a reachable (ones used, +1 count, -1
-count), so an arc is a shift of the whole set, not a loop over states.
-``path_cordial_dp`` checks the path order and returns the engine's
-witness.  Arc j of an alternating path depends on j alone, so
+bitset per label of the last vertex over the reachable (ones used, +1
+count, -1 count), laid out by the engine's ``_layout``, so an arc is a
+shift of the whole set, not a loop over states.  ``path_cordial_dp``
+checks the path order and returns the engine's witness.  Arc j of an
+alternating path depends on j alone, so
 ``alternating_path(n)`` is the first n vertices of any longer one, and
 ``scan_alternating_paths`` reads every size's verdict from one pass.
 """
@@ -28,12 +28,12 @@ from typing import Iterator
 
 from .engine import (
     _DP_MAX_BITS,
-    _arc_layout,
-    _balanced_goal,
     _frontier_first_mask,
     _frontier_layers,
     _frontier_plan,
     _labelings,
+    _layout,
+    _window,
 )
 from .graphs import (
     Digraph,
@@ -105,7 +105,7 @@ def _window_triples(graph: Graph) -> list[tuple[int, int, frozenset[int]]]:
     so orientation o gets alpha = popcount((o ^ P) & B).
     """
     m = graph.edge_count
-    window = {m // 3, (m + 2) // 3}
+    window = _window(m)
     pairs = {
         (plus, bi)
         for _, bi, plus in _labelings(graph.vertex_count, graph.edges)
@@ -202,21 +202,19 @@ def scan_alternating_paths(n_max: int) -> list[int]:
     """
     if n_max < 2 or n_max % 2:
         raise ValueError("n_max must be an even integer >= 2")
-    # _arc_layout's size: two patterns of n_max/2 + 1 square blocks whose
-    # side is the cap ceil((n_max - 1)/3) plus 2.
-    bits = 2 * (n_max // 2 + 1) * ((n_max + 1) // 3 + 2) ** 2
+    arcs = alternating_path(n_max).arcs
+    layout = _layout(n_max, arcs, True)
+    bits = 2 * layout.size  # a path's layers hold two patterns
     if bits > _DP_MAX_BITS:
         raise ValueError(
             f"n_max={n_max} needs {bits} bits per DP layer, over the "
             f"{_DP_MAX_BITS}-bit cap"
         )
-    arcs = alternating_path(n_max).arcs
-    w, one, shifts, valid = _arc_layout(n_max, arcs, (n_max + 1) // 3, (n_max + 1) // 2)
-    plan = _frontier_plan(n_max, arcs, shifts, one, False)
+    plan = _frontier_plan(n_max, arcs, layout, False)
     failing = []
-    for n, layer in enumerate(_frontier_layers(plan, valid), start=1):
+    for n, layer in enumerate(_frontier_layers(plan, layout.valid()), start=1):
         if n % 2 == 0:
-            goal = _balanced_goal(n - 1, w) << (n // 2 * one)
+            goal = layout.goal(n, n - 1)
             if not any(s & goal for s in layer):
                 failing.append(n)
     return failing

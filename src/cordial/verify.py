@@ -20,8 +20,8 @@ from typing import Callable
 from .bounds import complete_graph_zero_excess, max_edges, verify_bound, z_value
 from .engine import (
     OrientabilityWitness,
-    _cordial_scan,
     _labelings,
+    _scan_first_mask,
     gamma_triple,
     is_balanced_triple,
     is_cordial,
@@ -327,34 +327,29 @@ def _check_path_landscape() -> str:
     )
 
 
-def _check_deg3_tree() -> str:
-    g = counterexample_tree()
-    _expect(g.edge_count == 9, "tree should have 9 edges")
+def _check_window_missed(graph: Graph, what: str, m: int) -> str:
+    """The graph has m edges, and no friendly labeling reaches the window
+    value m / 3 (m is a multiple of 3)."""
+    _expect(graph.edge_count == m, f"{what} should have {m} edges")
+    lam = m // 3
     count = 0
-    for lab in friendly_labelings(10):
+    for lab in friendly_labelings(graph.vertex_count):
         count += 1
         _expect(
-            lambda_count(g, lab) != 3,
-            f"labeling {lab.bit_string()} reaches 3 monochromatic edges",
+            lambda_count(graph, lab) != lam,
+            f"labeling {lab.bit_string()} reaches {lam} monochromatic edges",
         )
     _expect(count == 252, f"scanned {count} labelings, expected 252")
-    _expect(is_orientable(g) is None, "tree reported orientable")
+    _expect(is_orientable(graph) is None, f"{what} reported orientable")
     return "all 252 friendly labelings miss the window; not orientable"
+
+
+def _check_deg3_tree() -> str:
+    return _check_window_missed(counterexample_tree(), "tree", 9)
 
 
 def _check_petersen() -> str:
-    g = petersen_graph()
-    _expect(g.edge_count == 15, "Petersen graph should have 15 edges")
-    count = 0
-    for lab in friendly_labelings(10):
-        count += 1
-        _expect(
-            lambda_count(g, lab) != 5,
-            f"labeling {lab.bit_string()} reaches 5 monochromatic edges",
-        )
-    _expect(count == 252, f"scanned {count} labelings, expected 252")
-    _expect(is_orientable(g) is None, "Petersen graph reported orientable")
-    return "all 252 friendly labelings miss the window; not orientable"
+    return _check_window_missed(petersen_graph(), "Petersen graph", 15)
 
 
 def _check_window_crossvalidation() -> str:
@@ -540,7 +535,7 @@ def _check_path_dp() -> str:
         for o in orientations(g):
             d = orient(g, o)
             dp_witness = path_cordial_dp(d)
-            direct = _cordial_scan(d)
+            direct = _scan_first_mask(n, d.arcs, True)
             _expect(
                 (dp_witness is None) == (direct is None),
                 f"DP disagrees with the scan on n={n} bits={o.bit_string()}",
@@ -552,7 +547,7 @@ def _check_path_dp() -> str:
                     f"DP witness fails validation on n={n} bits={o.bit_string()}",
                 )
                 _expect(
-                    dp_witness.mask == direct.labeling.mask,
+                    dp_witness.mask == direct,
                     f"DP witness is not the scan's on n={n} bits={o.bit_string()}",
                 )
             count += 1

@@ -271,6 +271,10 @@ def witness_mask(report):
     return None if report is None else report.labeling.mask
 
 
+def scan_mask(n, pairs, directed):
+    return engine._scan_first_mask(n, pairs, directed)
+
+
 def transitive_tournament(n):
     return Digraph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
 
@@ -284,25 +288,23 @@ class TestKernelAgainstMaskFilter:
     @given(digraphs())
     @settings(max_examples=200, deadline=None)
     def test_is_cordial_witness_is_first_balanced_mask(self, d):
-        assert witness_mask(engine._cordial_scan(d)) == first_cordial_mask(d)
+        assert scan_mask(d.vertex_count, d.arcs, True) == first_cordial_mask(d)
 
     @given(digraphs())
     @settings(max_examples=200, deadline=None)
     def test_is_orientable_witness_is_first_window_mask(self, d):
         g = make_graph(d.vertex_count, d.arcs)
-        assert witness_mask(engine._witness_scan(g)) == first_window_mask(g)
+        assert scan_mask(g.vertex_count, g.edges, False) == first_window_mask(g)
 
     @pytest.mark.parametrize("n", range(1, 12))
     def test_zero_edges_and_tournaments(self, n):
         empty = Digraph(n, ())
-        assert witness_mask(engine._cordial_scan(empty)) == first_cordial_mask(empty)
-        assert witness_mask(engine._witness_scan(Graph(n, ()))) == first_window_mask(
-            Graph(n, ())
-        )
+        assert scan_mask(n, (), True) == first_cordial_mask(empty)
+        assert scan_mask(n, (), False) == first_window_mask(Graph(n, ()))
         d = transitive_tournament(n)
-        assert witness_mask(engine._cordial_scan(d)) == first_cordial_mask(d)
+        assert scan_mask(n, d.arcs, True) == first_cordial_mask(d)
         g = complete_graph(n)
-        assert witness_mask(engine._witness_scan(g)) == first_window_mask(g)
+        assert scan_mask(n, g.edges, False) == first_window_mask(g)
 
     @pytest.mark.parametrize("n", range(1, 15))
     def test_friendly_labelings_in_mask_order(self, n):
@@ -363,16 +365,25 @@ def sparse_digraph(n, seed, degree=3.0):
     return Digraph(n, tuple(arcs))
 
 
+def assert_graph_routes_agree(g):
+    """The DP and the kernel give the same first mask on a graph."""
+    n = g.vertex_count
+    dp = engine._frontier_first_mask(n, g.edges, False)
+    assert dp == scan_mask(n, g.edges, False)
+
+
 def assert_routes_agree(d):
-    """The DP and the kernel give the same report, witness and all."""
-    assert engine._cordial_dp(d) == engine._cordial_scan(d)
-    g = make_graph(d.vertex_count, d.arcs)
-    assert engine._witness_dp(g) == engine._witness_scan(g)
+    """The DP and the kernel give the same first mask on a digraph and on
+    its underlying graph."""
+    n = d.vertex_count
+    assert engine._frontier_first_mask(n, d.arcs, True) == scan_mask(n, d.arcs, True)
+    assert_graph_routes_agree(make_graph(n, d.arcs))
 
 
 class TestFrontierDpAgainstKernel:
     """The frontier DP, called directly, against the kernel: the same
-    decision, witness mask, gamma and orientation."""
+    decision and witness mask, from which both deciders build their
+    reports."""
 
     @given(digraphs(12))
     @settings(max_examples=300, deadline=None)
@@ -396,8 +407,8 @@ class TestFrontierDpAgainstKernel:
 
     def test_fixed_graphs(self):
         for g in (petersen_graph(), counterexample_tree(), tight_bound_graph(9)):
-            assert engine._witness_dp(g) == engine._witness_scan(g)
-        assert engine._witness_dp(Graph(0, ())) == engine._witness_scan(Graph(0, ()))
+            assert_graph_routes_agree(g)
+        assert_graph_routes_agree(Graph(0, ()))
 
     @pytest.mark.parametrize(
         "g",
@@ -411,13 +422,13 @@ class TestFrontierDpAgainstKernel:
         # Shifting a target down borrows across rows when a count would go
         # negative; unmasked, such a bit reaches a wrong but reachable
         # state and the walk returns an unfriendly labeling.
-        assert engine._witness_dp(g) == engine._witness_scan(g)
+        assert_graph_routes_agree(g)
 
     @pytest.mark.parametrize("n", [10, 16, 22])
     def test_caterpillars(self, n):
         g = caterpillar(n)
         assert sorted(set(g.degrees())) == [1, 3]
-        assert engine._witness_dp(g) == engine._witness_scan(g)
+        assert_graph_routes_agree(g)
 
 
 def refuse_dp(*args, **kwargs):
@@ -437,10 +448,10 @@ class TestRouting:
     def test_dp_layers_are_capped(self):
         # Every layer is kept for the witness walk: alternating_path(250)
         # needs under 64 MiB of bitsets, alternating_path(260) more.
-        assert engine._dp_pays(250, alternating_path(250).arcs)
-        assert not engine._dp_pays(260, alternating_path(260).arcs)
+        assert engine._dp_pays(250, alternating_path(250).arcs, True)
+        assert not engine._dp_pays(260, alternating_path(260).arcs, True)
 
-    @pytest.mark.parametrize("n", [22, 28, 34, 46])
+    @pytest.mark.parametrize("n", [22, 28, 34, 46, 394])
     def test_caterpillars_go_to_the_dp(self, monkeypatch, n):
         monkeypatch.setattr(engine, "_labelings", refuse_scan)
         assert (is_orientable(caterpillar(n)) is None) == (n % 12 == 10)
@@ -460,4 +471,34 @@ class TestRouting:
         monkeypatch.setattr(engine, "_frontier_layers", refuse_dp)
         for n in (14, 16, 18):
             d = sparse_digraph(n, seed)
-            assert is_cordial(d) == engine._cordial_scan(d)
+            assert witness_mask(is_cordial(d)) == scan_mask(n, d.arcs, True)
+
+
+def banded(n, seed, directed):
+    """Random pairs at most three apart, so the frontier width is at most 3."""
+    rng = random.Random(seed)
+    pairs = [
+        (u, v) if not directed or rng.random() < 0.5 else (v, u)
+        for u in range(n)
+        for v in range(u + 1, min(u + 4, n))
+        if rng.random() < 0.5
+    ]
+    return tuple(pairs) if directed else make_graph(n, pairs).edges
+
+
+class TestLayout:
+    @pytest.mark.parametrize("n", [23, 24])
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_layers_fit_the_size_dp_pays_counts(self, monkeypatch, n, directed):
+        pairs = banded(n, n, directed)
+        layout = engine._layout(n, pairs, directed)
+        plan = engine._frontier_plan(n, pairs, layout, pin=True)
+        layers = list(engine._frontier_layers(plan, layout.valid()))
+        assert all(s.bit_length() <= layout.size for layer in layers for s in layer)
+        # Odd n reaches ceil(n/2) ones, one row more than n // 2 + 1 holds.
+        assert max(s.bit_length() for s in layers[-1]) > layout.size - layout.one
+        bound = layout.size * sum(len(layer) for layer in layers)
+        monkeypatch.setattr(engine, "_DP_MAX_BITS", bound)
+        assert engine._dp_pays(n, pairs, directed)
+        monkeypatch.setattr(engine, "_DP_MAX_BITS", bound - 1)
+        assert not engine._dp_pays(n, pairs, directed)

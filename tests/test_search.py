@@ -218,10 +218,10 @@ class TestPathDp:
         g = path_graph(n)
         for o in orientations(g):
             d = orient(g, o)
-            lab, report = path_cordial_dp(d), engine._cordial_scan(d)
-            assert (lab is None) == (report is None)
-            if lab is not None:
-                assert lab.mask == report.labeling.mask
+            lab = path_cordial_dp(d)
+            assert (None if lab is None else lab.mask) == engine._scan_first_mask(
+                n, d.arcs, True
+            )
 
 
 class TestScanAlternating:
@@ -319,9 +319,7 @@ class TestPathDpAgainstOracle:
     def test_oracle_is_the_kernel(self, n):
         for bits in range(1 << (n - 1)):
             d = _oriented_path(n, bits)
-            report = engine._cordial_scan(d)
-            expected = None if report is None else report.labeling.mask
-            assert _path_dp_oracle(d) == expected
+            assert _path_dp_oracle(d) == engine._scan_first_mask(n, d.arcs, True)
 
     @settings(max_examples=50, deadline=None)
     @given(oriented_paths())
