@@ -15,12 +15,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from .bounds import bounds_record, max_edges, verify_bound
 from .engine import is_cordial, is_orientable
-from .graphs import Digraph, Graph, named, parse_text, to_text
+from .graphs import _GENERATORS, Digraph, Graph, named, parse_text, to_text
 from .quasigroup import CordialInstance, is_subset_q_cordial, parse_cayley_text
 from .search import (
     SymmetryMode,
@@ -40,25 +40,14 @@ class RunReport:
     timing_seconds: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "verdicts": self.verdicts,
-                "timing_seconds": self.timing_seconds,
-            },
-            indent=2,
-        )
+        # Not asdict, which deep-copies every value: a search report can
+        # list 2^14 orientations.
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         data = json.loads(text)
-        return cls(
-            command=data["command"],
-            inputs=data["inputs"],
-            verdicts=data["verdicts"],
-            timing_seconds=data["timing_seconds"],
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls)})
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -282,17 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fix-first-label", action="store_true", help="pin vertex 0's label")
 
     p = add("gen", _cmd_gen, "print a named graph in edge-list format", json_flag=False)
-    p.add_argument(
-        "name",
-        choices=[
-            "path",
-            "complete",
-            "petersen",
-            "counterexample_tree",
-            "alternating_path",
-            "tight_bound",
-        ],
-    )
+    p.add_argument("name", choices=list(_GENERATORS))
     p.add_argument("n", nargs="?", type=int, default=None)
 
     p = add("scan-alternating", _cmd_scan_alternating, "scan alternating paths up to NMAX")

@@ -14,21 +14,24 @@ label swaps the +1 and -1 arc counts, so vertex 0 can be pinned to label
 0 without changing any verdict.  Reported witnesses are therefore
 normalized to label vertex 0 with 0.
 
-``is_cordial`` and ``is_orientable`` answer inputs with more edges than
-``max_edges(n)`` without a scan, and hand every other input to one of
-two searches with one contract, ``(n, pairs, directed) -> first mask or
-None``, chosen by the estimate of ``_dp_pays``; the decider builds its
-report from that mask:
+``is_cordial`` and ``is_orientable`` only build their reports from the
+mask of ``_first_mask``.  It applies the certificates first (an input
+with more edges than ``max_edges(n)`` is answered None without a scan)
+and hands every other input to one of two searches with one contract,
+``(n, pairs, directed) -> first mask or None``, chosen by the estimate
+of ``_dp_pays``:
 
 - The kernel, ``_scan_first_mask`` over ``_labelings``, enumerates
   friendly labelings and tests lambda against the window first.  It lists
   the label-1 subsets of the low half of the vertices once per call,
   with the XORs of their incidence and head masks, walks the high half's
   subsets in ascending order the same way, and joins each to the low
-  subsets of fitting size, so each friendly labeling costs one XOR and
-  no per-edge loop.  Only the low list is stored: 2^(ceil(n/2) - 1)
-  tuples with vertex 0 pinned, 0.16 MB at n = 22 and 22 MB at n = 36
-  (tracemalloc).  Every other labeling scan reads it too.
+  subsets of fitting size, so each friendly labeling costs two XORs
+  (B and the heads mask H) and no per-edge loop; a directed scan forms
+  P = B & H only when lambda lies in the window.  Only the low list is
+  stored: 2^(ceil(n/2) - 1) tuples with vertex 0 pinned, 0.16 MB at
+  n = 22 and 22 MB at n = 36 (tracemalloc).  Every other labeling scan
+  reads it too.
 - The frontier DP (vertex separation, Kinnersley 1992), for sparse
   inputs, places the vertices in natural order and keeps one int bitset
   per label pattern of the frontier: the placed vertices that still
@@ -116,12 +119,14 @@ def lambda_count(graph: Graph, labeling: VertexLabeling) -> int:
 def _labelings(
     n: int, pairs: tuple[tuple[int, int], ...], pin: bool = True
 ) -> Iterator[tuple[int, int, int]]:
-    """(mask, B, P) of each friendly labeling of n vertices, ascending.
+    """(mask, B, H) of each friendly labeling of n vertices, ascending.
 
-    B marks the pairs (t, h) whose ends differ in label and P those of B
-    with h labeled 1, so arcs ``pairs`` get alpha = |P|, beta = |B| - |P|
-    and gamma_0 = lambda = m - |B|.  pin labels vertex 0 with 0, keeping
-    one labeling of each complement pair.
+    B marks the pairs (t, h) whose ends differ in label and H those whose
+    head h is labeled 1, so P = B & H marks the bichromatic pairs with
+    h labeled 1 and arcs ``pairs`` get alpha = |P|, beta = |B| - |P| and
+    gamma_0 = lambda = m - |B|.  Readers form P only for labelings whose
+    lambda lies in the window, and undirected ones never.  pin labels
+    vertex 0 with 0, keeping one labeling of each complement pair.
     """
     incident = [0] * n
     head = [0] * n
@@ -153,8 +158,7 @@ def _labelings(
     ]
     for mh, bh, hh in subsets(range(half, n)):
         for ml, bl, hl in fitting[mh.bit_count()]:
-            b = bh ^ bl
-            yield mh | ml, b, b & (hh ^ hl)
+            yield mh | ml, bh ^ bl, hh ^ hl
 
 
 @dataclass(frozen=True)
@@ -164,7 +168,6 @@ class LabelingReport:
     labeling: VertexLabeling
     verdict: bool
     gamma: GammaTriple | None = None
-    monochromatic: int | None = None
 
     def __post_init__(self) -> None:
         if self.gamma is not None:
@@ -182,18 +185,29 @@ def is_cordial(digraph: Digraph) -> LabelingReport | None:
     Inputs the frontier DP answers more cheaply (``_dp_pays``) go to it;
     both routes return the same witness.
     """
-    n = digraph.vertex_count
-    arcs = digraph.arcs
-    if n >= 2 and len(arcs) > max_edges(n):
-        return None
-    first_mask = _frontier_first_mask if _dp_pays(n, arcs, True) else _scan_first_mask
-    mask = first_mask(n, arcs, True)
+    mask = _first_mask(digraph.vertex_count, digraph.arcs, True)
     if mask is None:
         return None
-    labeling = VertexLabeling(n, mask)
+    labeling = VertexLabeling(digraph.vertex_count, mask)
     return LabelingReport(
         labeling=labeling, verdict=True, gamma=gamma_triple(digraph, labeling)
     )
+
+
+def _first_mask(
+    n: int, pairs: tuple[tuple[int, int], ...], directed: bool
+) -> int | None:
+    """The first mask both deciders report, or None when there is none.
+
+    Certificates come first: more pairs than ``max_edges(n)`` leave no
+    friendly labeling a balanced triple, so no search starts.  Every
+    other input goes to the search ``_dp_pays`` picks; both return the
+    same mask.
+    """
+    if n >= 2 and len(pairs) > max_edges(n):
+        return None
+    first_mask = _frontier_first_mask if _dp_pays(n, pairs, directed) else _scan_first_mask
+    return first_mask(n, pairs, directed)
 
 
 def _window(m: int) -> set[int]:
@@ -215,12 +229,12 @@ def _scan_first_mask(
     """
     m = len(pairs)
     window = _window(m)
-    for mask, bi, plus in _labelings(n, pairs):
+    for mask, bi, heads in _labelings(n, pairs):
         k = bi.bit_count()
         if m - k in window:
             if not directed:
                 return mask
-            alpha = plus.bit_count()
+            alpha = (bi & heads).bit_count()
             if alpha in window and k - alpha in window:
                 return mask
     return None
@@ -293,12 +307,7 @@ def is_orientable(graph: Graph) -> OrientabilityWitness | None:
     answered None without a scan; inputs the frontier DP answers more
     cheaply (``_dp_pays``) go to it, with the same witness.
     """
-    n = graph.vertex_count
-    edges = graph.edges
-    if n >= 2 and len(edges) > max_edges(n):
-        return None
-    first_mask = _frontier_first_mask if _dp_pays(n, edges, False) else _scan_first_mask
-    return _orientable_witness(graph, first_mask(n, edges, False))
+    return _orientable_witness(graph, _first_mask(graph.vertex_count, graph.edges, False))
 
 
 def _orientable_witness(graph: Graph, mask: int | None) -> OrientabilityWitness | None:

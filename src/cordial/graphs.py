@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple, Union
 
 
 class GammaTriple(NamedTuple):
@@ -341,35 +341,45 @@ def tight_bound_graph(n: int) -> Graph:
     return make_graph(n, cross + intra[: max_edges(n) - len(cross)])
 
 
-_FIXED_SIZE_NAMES = ("petersen", "counterexample_tree")
+# Each generator name, in the order ``cordial gen`` lists them, with its
+# generator and whether that takes a vertex count.
+_GENERATORS: dict[str, tuple[Callable[..., Union[Graph, Digraph]], bool]] = {
+    "path": (path_graph, True),
+    "complete": (complete_graph, True),
+    "petersen": (petersen_graph, False),
+    "counterexample_tree": (counterexample_tree, False),
+    "alternating_path": (alternating_path, True),
+    "tight_bound": (tight_bound_graph, True),
+}
 
 
 def named(name: str, n: int | None = None) -> Union[Graph, Digraph]:
-    """Dispatch to a named generator.
+    """Dispatch to a named generator of ``_GENERATORS``.
 
-    path, complete, alternating_path and tight_bound require ``n``;
-    petersen and counterexample_tree reject it.
+    Generators that take a vertex count require ``n``; the others reject it.
     """
-    if name in _FIXED_SIZE_NAMES:
+    if name not in _GENERATORS:
+        raise ValueError(f"unknown graph name {name!r}")
+    maker, sized = _GENERATORS[name]
+    if not sized:
         if n is not None:
             raise ValueError(f"{name} does not take a vertex count")
-        return petersen_graph() if name == "petersen" else counterexample_tree()
-    makers = {
-        "path": path_graph,
-        "complete": complete_graph,
-        "alternating_path": alternating_path,
-        "tight_bound": tight_bound_graph,
-    }
-    if name not in makers:
-        raise ValueError(f"unknown graph name {name!r}")
+        return maker()
     if n is None:
         raise ValueError(f"{name} requires a vertex count")
-    return makers[name](n)
+    return maker(n)
 
 
 # ---------------------------------------------------------------------------
 # Text edge-list format
 # ---------------------------------------------------------------------------
+
+def _token_rows(text: str) -> list[list[str]]:
+    """The whitespace-separated tokens of each line of a text file format,
+    skipping blank lines and ``#`` comment lines."""
+    rows = [line.split() for line in text.splitlines()]
+    return [tokens for tokens in rows if tokens and not tokens[0].startswith("#")]
+
 
 def _int_token(token: str) -> int:
     try:
@@ -380,12 +390,7 @@ def _int_token(token: str) -> int:
 
 def parse_text(text: str) -> Union[Graph, Digraph]:
     """Parse the edge-list format; arcs (``u > v`` lines) give a Digraph."""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line.split())
+    rows = _token_rows(text)
     if not rows:
         raise ValueError("empty graph file")
     head = rows[0]

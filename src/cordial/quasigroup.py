@@ -15,9 +15,9 @@ element 2 of -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
-from .graphs import Digraph, Graph
+from .graphs import Digraph, Graph, _token_rows
 
 
 @dataclass(frozen=True)
@@ -107,16 +107,6 @@ def z3_minus_instance() -> CordialInstance:
     return CordialInstance(table, (0, 1))
 
 
-def _counts_within_one(counts: Iterable[int]) -> bool:
-    lo = hi = None
-    for c in counts:
-        if lo is None or c < lo:
-            lo = c
-        if hi is None or c > hi:
-            hi = c
-    return lo is None or hi - lo <= 1
-
-
 def _balanced_assignments(n: int, symbols: Sequence[int]):
     """Assignments V -> symbols whose fiber sizes pairwise differ by <= 1,
     in ``itertools.product(symbols, repeat=n)`` order.
@@ -171,7 +161,7 @@ def _first_balanced(
         counts = [0] * q
         for u, v in pairs:
             counts[op_rows[f[u]][f[v]]] += 1
-        if _counts_within_one(counts):
+        if max(counts) - min(counts) <= 1:
             return f
     return None
 
@@ -196,8 +186,11 @@ def is_a_cordial(graph: Graph, table: CayleyTable) -> tuple[int, ...] | None:
     Vertex labels range over all table elements; the edge (u, v) gets
     op(f(u), f(v)).  Both labelings must be balanced over the full
     element set.  Raises on a non-commutative table, since undirected
-    edges would then have ambiguous labels.
+    edges would then have ambiguous labels, and on a table with no
+    elements, which has no labels to balance.
     """
+    if not table.order:
+        raise ValueError("table has no elements")
     if not table.is_commutative():
         raise ValueError("table is not commutative; undirected edges need one")
     return _first_balanced(
@@ -207,12 +200,7 @@ def is_a_cordial(graph: Graph, table: CayleyTable) -> tuple[int, ...] | None:
 
 def parse_cayley_text(text: str) -> CayleyTable:
     """Load a table: first line q, then q rows of q integers."""
-    rows = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append(line.split())
+    rows = _token_rows(text)
     if not rows:
         raise ValueError("empty table file")
     if len(rows[0]) != 1:

@@ -107,8 +107,8 @@ def _window_triples(graph: Graph) -> list[tuple[int, int, frozenset[int]]]:
     m = graph.edge_count
     window = _window(m)
     pairs = {
-        (plus, bi)
-        for _, bi, plus in _labelings(graph.vertex_count, graph.edges)
+        (bi & heads, bi)
+        for _, bi, heads in _labelings(graph.vertex_count, graph.edges)
         if m - bi.bit_count() in window
     }
     return [

@@ -299,7 +299,7 @@ def _check_path_landscape() -> str:
     dp_time = time.perf_counter() - t0
     _expect(failing == [10, 22], f"alternating scan returned {failing}")
     _expect(dp_time < 10.0, f"DP route took {dp_time:.1f}s, budget 10s")
-    # The direct scan reads the kernel's (mask, B, P) of every unpinned
+    # The direct scan reads the kernel's (mask, B, H) of every unpinned
     # friendly labeling, not the DP route it cross-checks.  A balanced
     # triple summing to m has every count in the window, so only a
     # labeling whose 0 count m - |B| lies in it needs the full test.
@@ -309,11 +309,11 @@ def _check_path_landscape() -> str:
     t1 = time.perf_counter()
     count = 0
     witness = None
-    for mask, bi, plus in _labelings(22, d22.arcs, pin=False):
+    for mask, bi, heads in _labelings(22, d22.arcs, pin=False):
         count += 1
         k = bi.bit_count()
         if m - k in window:
-            alpha = plus.bit_count()
+            alpha = (bi & heads).bit_count()
             if is_balanced_triple((alpha, k - alpha, m - k)):
                 witness = mask
                 break

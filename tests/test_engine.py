@@ -502,3 +502,18 @@ class TestLayout:
         assert engine._dp_pays(n, pairs, directed)
         monkeypatch.setattr(engine, "_DP_MAX_BITS", bound - 1)
         assert not engine._dp_pays(n, pairs, directed)
+
+
+class TestLabelingTriples:
+    @given(digraphs(max_n=9))
+    @settings(max_examples=100, deadline=None)
+    def test_bichromatic_and_head_masks(self, d):
+        n = d.vertex_count
+        triples = list(engine._labelings(n, d.arcs, pin=False))
+        assert [mask for mask, _, _ in triples] == [lab.mask for lab in friendly_labelings(n)]
+        for mask, bi, heads in triples:
+            lab = VertexLabeling(n, mask)
+            arcs = list(enumerate(d.arcs))
+            assert bi == sum(1 << j for j, (t, h) in arcs if lab.label(t) != lab.label(h))
+            assert heads == sum(1 << j for j, (_, h) in arcs if lab.label(h))
+            assert (bi & heads).bit_count() == gamma_triple(d, lab).alpha

@@ -180,6 +180,10 @@ class TestACordial:
         with pytest.raises(ValueError, match="commutative"):
             is_a_cordial(path_graph(3), z3_minus_instance().table)
 
+    def test_order_zero_table_rejected(self):
+        with pytest.raises(ValueError, match="no elements"):
+            is_a_cordial(path_graph(3), CayleyTable(()))
+
     def test_k3_z3(self):
         witness = is_a_cordial(complete_graph(3), Z3)
         if witness is not None:
