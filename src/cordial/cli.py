@@ -142,7 +142,7 @@ def _cmd_search(args):
         mode = SymmetryMode.FIX_FIRST_LABEL
     else:
         mode = SymmetryMode.NONE
-    rep = noncordial_orientations(g, mode, descriptor=args.source)
+    rep = noncordial_orientations(g, mode)
     inputs = {"source": args.source, "symmetry": mode.value}
     verdicts = {
         "orientations_scanned": rep.total_orientations_scanned,

@@ -35,9 +35,12 @@ of ``_dp_pays``:
 - The frontier DP (vertex separation, Kinnersley 1992), for sparse
   inputs, places the vertices in natural order and keeps one int bitset
   per label pattern of the frontier: the placed vertices that still
-  have an unplaced neighbour.  ``_layout`` alone knows where a state
-  sits in a bitset: (ones used, alpha, beta) for digraphs, (ones used,
-  lambda) for graphs, whose bitsets are so about m/3 times smaller.
+  have an unplaced neighbour.  ``_dp_pays``, ``_layout`` and
+  ``_frontier_plan`` read the pairs through one pass, ``_neighbours``,
+  so a DP-routed call reads them twice (route, then walk).  ``_layout``
+  alone knows where a state sits in a bitset: (ones used, alpha, beta)
+  for digraphs, (ones used, lambda) for graphs, whose bitsets are so
+  about m/3 times smaller.
   It costs about n * (n/2) * 2^w for frontier width w: paths have
   w = 1, so ``is_cordial(alternating_path(22))`` takes under 1 ms
   instead of the kernel's 0.1 s.  Its witness walk,
@@ -331,14 +334,26 @@ _LABELINGS_PER_DP_UNIT = 16
 _DP_MAX_BITS = 1 << 29
 
 
-def _highest_neighbours(n: int, pairs: tuple[tuple[int, int], ...]) -> list[int]:
-    """Each vertex's highest neighbour, or the vertex itself if none is higher."""
+# Each vertex's lower neighbours u, as (u, whether u is the pair's tail).
+Lower = list[list[tuple[int, bool]]]
+
+
+def _neighbours(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[list[int], Lower]:
+    """The frontier DP's one pass over the pairs: each vertex's highest
+    neighbour (the vertex itself if none is higher) and its lower
+    neighbours, in pair order."""
     last = list(range(n))
+    lower: Lower = [[] for _ in range(n)]
     for t, h in pairs:
-        lo, hi = (t, h) if t < h else (h, t)
-        if hi > last[lo]:
-            last[lo] = hi
-    return last
+        if t < h:
+            lower[h].append((t, True))
+            if h > last[t]:
+                last[t] = h
+        else:
+            lower[t].append((h, False))
+            if t > last[h]:
+                last[h] = t
+    return last, lower
 
 
 Shifts = tuple[tuple[int, int], tuple[int, int]]
@@ -383,19 +398,16 @@ class _Layout(NamedTuple):
         return sum(counts << (ones * self.one) for ones in {n // 2, (n + 1) // 2})
 
 
-def _layout(n: int, pairs: tuple[tuple[int, int], ...], directed: bool) -> _Layout:
-    """The layout of n vertices and these pairs, capped at ceil(m/3) and
+def _layout(n: int, m: int, lower: Lower, directed: bool) -> _Layout:
+    """The layout of n vertices and m pairs, capped at ceil(m/3) and
     ceil(n/2), the caps of every prefix too.  Spare rows and columns
-    hold the most pairs one vertex has towards lower vertices, so a
-    vertex's combined shift never carries into the next row or block
-    before ``valid`` clears it.  O(n + m): ``valid`` and ``goal`` are
-    built only when called."""
-    lower = [0] * n
-    for t, h in pairs:
-        lower[max(t, h)] += 1
-    cap = (len(pairs) + 2) // 3
+    hold the most pairs one vertex has towards lower vertices (the
+    longest list of ``_neighbours``' lower), so a vertex's combined shift
+    never carries into the next row or block before ``valid`` clears it.
+    O(n): ``valid`` and ``goal`` are built only when called."""
+    cap = (m + 2) // 3
     max_ones = (n + 1) // 2
-    width = cap + 1 + max(lower, default=0)
+    width = cap + 1 + max(map(len, lower), default=0)
     one = width * width if directed else width
     shifts = ((0, width), (1, 0)) if directed else ((1, 0), (0, 1))
     return _Layout(directed, cap, max_ones, width, one, shifts, (max_ones + 1) * one)
@@ -415,7 +427,7 @@ def _dp_pays(n: int, pairs: tuple[tuple[int, int], ...], directed: bool) -> bool
     budget = comb(n - 1, n // 2) // _LABELINGS_PER_DP_UNIT
     if n * (n // 2) >= budget:
         return False
-    last = _highest_neighbours(n, pairs)
+    last, lower = _neighbours(n, pairs)
     leaving = [0] * n
     for v in range(n):
         leaving[last[v]] += last[v] > v
@@ -425,7 +437,7 @@ def _dp_pays(n: int, pairs: tuple[tuple[int, int], ...], directed: bool) -> bool
         if n * (n // 2) << w >= budget:
             return False
         patterns += 1 << w
-    return patterns * _layout(n, pairs, directed).size <= _DP_MAX_BITS
+    return patterns * _layout(n, len(pairs), lower, directed).size <= _DP_MAX_BITS
 
 
 # One vertex's step: (w', moves).  Each move (q, sources) lists the
@@ -434,10 +446,9 @@ def _dp_pays(n: int, pairs: tuple[tuple[int, int], ...], directed: bool) -> bool
 Step = tuple[int, list[tuple[int, list[tuple[int, int, int]]]]]
 
 
-def _frontier_plan(
-    n: int, pairs: tuple[tuple[int, int], ...], layout: _Layout, pin: bool
-) -> list[Step]:
-    """The step of each vertex i, in natural order.
+def _frontier_plan(last: list[int], lower: Lower, layout: _Layout, pin: bool) -> list[Step]:
+    """The step of each vertex i, in natural order, from the highest and
+    lower neighbours of ``_neighbours``' one pass over the pairs.
 
     The frontier before vertex i is the vertices below i with a neighbour
     at i or above, in ascending order; a pattern p gives the k-th of them
@@ -446,17 +457,10 @@ def _frontier_plan(
     vertex.  pin gives vertex 0 label 0 only.  Vertices whose frontier
     looks the same share one step (the inner vertices of a path use two).
     """
-    last = _highest_neighbours(n, pairs)
-    lower: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
-    for t, h in pairs:
-        if t < h:
-            lower[h].append((t, True))
-        else:
-            lower[t].append((h, False))
     plan = []
     known: dict[tuple, Step] = {}
     frontier: list[int] = []
-    for i in range(n):
+    for i in range(len(last)):
         # Tuples from lists: see graphs.orient.
         key = (
             tuple([last[v] > i for v in frontier]),
@@ -536,8 +540,9 @@ def _frontier_first_mask(
     one, so before & (target >> shift) is exactly the reachable states
     that the vertex's label takes into the target: no re-mask is needed.
     """
-    layout = _layout(n, pairs, directed)
-    plan = _frontier_plan(n, pairs, layout, pin=True)
+    last, lower = _neighbours(n, pairs)
+    layout = _layout(n, len(pairs), lower, directed)
+    plan = _frontier_plan(last, lower, layout, pin=True)
     layers = [[1], *_frontier_layers(plan, layout.valid())]
     target = [layout.goal(n, len(pairs))]
     if not layers[-1][0] & target[0]:

@@ -107,15 +107,23 @@ def z3_minus_instance() -> CordialInstance:
     return CordialInstance(table, (0, 1))
 
 
-def _balanced_assignments(n: int, symbols: Sequence[int]):
-    """Assignments V -> symbols whose fiber sizes pairwise differ by <= 1,
-    in ``itertools.product(symbols, repeat=n)`` order.
+def _first_balanced(
+    n: int,
+    symbols: Sequence[int],
+    pairs: Sequence[tuple[int, int]],
+    op_rows: Sequence[Sequence[int]],
+) -> tuple[int, ...] | None:
+    """First assignment V -> symbols, in ``itertools.product(symbols,
+    repeat=n)`` order, whose fiber sizes pairwise differ by <= 1 and under
+    which the pair labels op_rows[f(u)][f(v)] are balanced over the table.
 
     Counting empty fibers makes surjectivity automatic once n >= the
     number of symbols, and waives it below.  With q symbols, balanced
     fibers hold floor(n/q) positions, or one more in exactly n mod q of
-    them, so a depth-first walk that keeps within those limits reaches
-    only balanced assignments and never a dead end.
+    them.  A depth-first walk that tries the symbols in their given order
+    and keeps within those limits therefore reaches only balanced
+    assignments, in product order, and never a dead end; it counts the
+    pair labels of each one it reaches and returns the first balanced one.
     """
     q = len(symbols)
     base, extra = divmod(n, q)
@@ -126,7 +134,11 @@ def _balanced_assignments(n: int, symbols: Sequence[int]):
     s = 0  # next symbol index to try at position len(picks)
     while True:
         if len(picks) == n:
-            yield tuple(labels)
+            pair_counts = [0] * len(op_rows)
+            for u, v in pairs:
+                pair_counts[op_rows[labels[u]][labels[v]]] += 1
+            if max(pair_counts) - min(pair_counts) <= 1:
+                return tuple(labels)
             s = q
         while s < q and not (
             counts[s] < base or (counts[s] == base and full < extra)
@@ -145,25 +157,7 @@ def _balanced_assignments(n: int, symbols: Sequence[int]):
             full -= counts[s] == base
             s += 1
         else:
-            return
-
-
-def _first_balanced(
-    n: int,
-    symbols: Sequence[int],
-    pairs: Sequence[tuple[int, int]],
-    op_rows: Sequence[Sequence[int]],
-) -> tuple[int, ...] | None:
-    """First balanced assignment, in ``_balanced_assignments`` order, under
-    which the pair labels op_rows[f(u)][f(v)] are balanced over the table."""
-    q = len(op_rows)
-    for f in _balanced_assignments(n, symbols):
-        counts = [0] * q
-        for u, v in pairs:
-            counts[op_rows[f[u]][f[v]]] += 1
-        if max(counts) - min(counts) <= 1:
-            return f
-    return None
+            return None
 
 
 def is_subset_q_cordial(

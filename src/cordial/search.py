@@ -33,6 +33,7 @@ from .engine import (
     _frontier_plan,
     _labelings,
     _layout,
+    _neighbours,
     _window,
 )
 from .graphs import (
@@ -88,7 +89,6 @@ def orientations(graph: Graph, fix_first_arc: bool = False) -> Iterator[Orientat
 class SearchReport:
     """Result of a non-cordial-orientation hunt over one graph."""
 
-    graph_descriptor: str
     total_orientations_scanned: int
     noncordial: tuple[Orientation, ...]
     symmetry_mode: SymmetryMode
@@ -134,7 +134,6 @@ def noncordial_orientations(
     graph: Graph,
     symmetry: SymmetryMode = SymmetryMode.NONE,
     jobs: int | None = None,
-    descriptor: str | None = None,
 ) -> SearchReport:
     """Enumerate orientations and collect those with no cordial labeling.
 
@@ -147,7 +146,6 @@ def noncordial_orientations(
     under which the allowed set is closed.  So only the arc pin changes
     the result.  Failures are ascending; ``jobs`` is accepted and ignored.
     """
-    n = graph.vertex_count
     m = graph.edge_count
     t0 = time.perf_counter()
     step = 2 if symmetry.fix_arc and m > 0 else 1
@@ -158,7 +156,6 @@ def noncordial_orientations(
     if last is not None and last.noncordial == noncordial:
         noncordial = last.noncordial
     report = SearchReport(
-        graph_descriptor=descriptor or f"graph(n={n},m={m})",
         total_orientations_scanned=(1 << m) // step,
         noncordial=noncordial,
         symmetry_mode=symmetry,
@@ -203,14 +200,15 @@ def scan_alternating_paths(n_max: int) -> list[int]:
     if n_max < 2 or n_max % 2:
         raise ValueError("n_max must be an even integer >= 2")
     arcs = alternating_path(n_max).arcs
-    layout = _layout(n_max, arcs, True)
+    last, lower = _neighbours(n_max, arcs)
+    layout = _layout(n_max, len(arcs), lower, True)
     bits = 2 * layout.size  # a path's layers hold two patterns
     if bits > _DP_MAX_BITS:
         raise ValueError(
             f"n_max={n_max} needs {bits} bits per DP layer, over the "
             f"{_DP_MAX_BITS}-bit cap"
         )
-    plan = _frontier_plan(n_max, arcs, layout, False)
+    plan = _frontier_plan(last, lower, layout, False)
     failing = []
     for n, layer in enumerate(_frontier_layers(plan, layout.valid()), start=1):
         if n % 2 == 0:

@@ -4,6 +4,8 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from cordial import (
     alternating_path,
     engine,
@@ -147,11 +149,23 @@ class TestSearch:
         assert code == 0
         assert "noncordial_count: 0" in out
 
-    def test_symmetry_flags(self):
-        code, out, _ = invoke(["search", "path:10", "--fix-first-arc", "--fix-first-label"])
+    @pytest.mark.parametrize(
+        "flags, symmetry, scanned, noncordial",
+        [
+            ([], "none", "512", "010101010 101010101"),
+            (["--fix-first-arc"], "fix_first_arc", "256", "010101010"),
+            (["--fix-first-label"], "fix_first_label", "512", "010101010 101010101"),
+            (["--fix-first-arc", "--fix-first-label"], "both", "256", "010101010"),
+        ],
+        ids=["none", "fix_first_arc", "fix_first_label", "both"],
+    )
+    def test_symmetry_flags(self, flags, symmetry, scanned, noncordial):
+        code, out, _ = invoke(["search", "path:10", *flags])
         assert code == 1
-        assert "orientations_scanned: 256" in out
-        assert "010101010" in out
+        report = dict(line.split(": ", 1) for line in out.splitlines())
+        assert report["input.symmetry"] == symmetry
+        assert report["orientations_scanned"] == scanned
+        assert report["noncordial"] == noncordial
 
     def test_worker_count_variable_is_ignored(self, monkeypatch):
         monkeypatch.setenv("CORDIAL_JOBS", "abc")
@@ -313,6 +327,22 @@ class TestErrors:
             ["check-digraph", "-"], stdin_text="2 9\n0 > 1\n", monkeypatch=monkeypatch
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["check-graph", "path:x"], 2, "error: bad vertex count in 'path:x'\n"),
+            (
+                ["check-graph", "alternating_path:4"],
+                2,
+                "error: expected undirected edges ('u v' lines), found arcs\n",
+            ),
+            # An edgeless graph is accepted as a digraph.
+            (["check-digraph", "path:1"], 0, ""),
+        ],
+    )
+    def test_source_kinds(self, argv, code, err):
+        assert invoke(argv)[::2] == (code, err)
 
     def test_loop_edge_file(self, monkeypatch):
         code, _, err = invoke(

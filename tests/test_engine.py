@@ -219,6 +219,27 @@ class TestConstructWitness:
                     assert gam == ((mprime + 1) // 2, mprime // 2, m - mprime)
 
 
+class TestOrientabilityWitness:
+    # Under 0110, P4's edges are bichromatic, monochromatic, bichromatic;
+    # all forward they give the balanced (1, 1, 1), with edge 0 reversed
+    # (0, 2, 1).
+    @pytest.mark.parametrize(
+        "mask, bits, gamma, message",
+        [
+            (0b0111, 0, (1, 1, 1), "witness labeling is not friendly"),
+            (0b0110, 0, (3, 0, 0), "witness gamma is not balanced"),
+            (0b0110, 1, (1, 1, 1), "witness gamma does not match its orientation"),
+        ],
+    )
+    def test_rejects(self, mask, bits, gamma, message):
+        g = path_graph(4)
+        with pytest.raises(ValueError) as info:
+            engine.OrientabilityWitness(
+                VertexLabeling(4, mask), Orientation(g, bits), GammaTriple(*gamma)
+            )
+        assert str(info.value) == message
+
+
 class TestLabelingReport:
     def test_inconsistent_verdict_rejected(self):
         lab = VertexLabeling.from_labels((0, 1))
@@ -491,8 +512,9 @@ class TestLayout:
     @pytest.mark.parametrize("directed", [True, False])
     def test_layers_fit_the_size_dp_pays_counts(self, monkeypatch, n, directed):
         pairs = banded(n, n, directed)
-        layout = engine._layout(n, pairs, directed)
-        plan = engine._frontier_plan(n, pairs, layout, pin=True)
+        last, lower = engine._neighbours(n, pairs)
+        layout = engine._layout(n, len(pairs), lower, directed)
+        plan = engine._frontier_plan(last, lower, layout, pin=True)
         layers = list(engine._frontier_layers(plan, layout.valid()))
         assert all(s.bit_length() <= layout.size for layer in layers for s in layer)
         # Odd n reaches ceil(n/2) ones, one row more than n // 2 + 1 holds.

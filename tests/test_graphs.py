@@ -293,3 +293,24 @@ class TestTextFormat:
             parse_text("2 1\n0 < 1\n")
         with pytest.raises(ValueError, match="empty"):
             parse_text("# nothing\n")
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Graph(-1), ValueError, "vertex_count must be nonnegative"),
+        (lambda: Graph(2, ((0, 0),)), ValueError, "loop edge (0,0)"),
+        (lambda: Graph(3, ((0, 1), (0, 1))), ValueError, "duplicate edge (0,1)"),
+        (lambda: Digraph(-1), ValueError, "vertex_count must be nonnegative"),
+        (lambda: Digraph(2, ((0, 2),)), ValueError, "arc (0,2) endpoint out of range for n=2"),
+        (lambda: path_graph(0), ValueError, "path needs at least 1 vertex"),
+        (lambda: complete_graph(0), ValueError, "complete graph needs at least 1 vertex"),
+        (lambda: tight_bound_graph(2), ValueError, "tight bound construction needs n >= 3"),
+        (lambda: parse_text("3\n"), ValueError, "first line must be 'n m'"),
+        (lambda: to_text(1), TypeError, "cannot serialize int"),
+    ],
+)
+def test_error_messages(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

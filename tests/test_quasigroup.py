@@ -25,7 +25,7 @@ from cordial import (
     validate_latin,
     z3_minus_instance,
 )
-from cordial.quasigroup import _balanced_assignments
+from cordial.quasigroup import _first_balanced
 
 Z2 = CayleyTable(((0, 1), (1, 0)))
 Z3 = CayleyTable(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
@@ -157,16 +157,45 @@ class TestSubsetQCordial:
             assert is_balanced_triple(gamma_triple(d, lab))
 
 
+def spread(f, elements):
+    counts = [f.count(x) for x in elements]
+    return max(counts) - min(counts)
+
+
 class TestBalancedAssignments:
     @pytest.mark.parametrize("symbols", [(0, 1), (0, 1, 2), (2, 0), (0, 1, 2, 3)])
     def test_matches_product_filter(self, symbols):
+        # Sum tables are commutative and difference tables are not, so
+        # the direction of a pair counts; order q + 1 leaves one element
+        # off every vertex label.
+        q = max(symbols) + 1
+        tables = [
+            tuple(tuple(op(x, y) % r for y in range(r)) for x in range(r))
+            for r in (q, q + 1)
+            for op in (lambda x, y: x + y, lambda x, y: y - x)
+        ]
         for n in range(9):
-            expected = [
-                f
-                for f in itertools.product(symbols, repeat=n)
-                if max(map(f.count, symbols)) - min(map(f.count, symbols)) <= 1
+            balanced = [
+                f for f in itertools.product(symbols, repeat=n) if spread(f, symbols) <= 1
             ]
-            assert list(_balanced_assignments(n, symbols)) == expected
+            pair_sets = [
+                (),
+                tuple((j, j + 1) for j in range(n - 1)),
+                alternating_path(10).arcs[: max(n - 1, 0)],
+                tuple((0, v) if v % 3 else (v, 0) for v in range(1, n)),
+            ]
+            for rows in tables:
+                for pairs in pair_sets:
+                    expected = next(
+                        (
+                            f
+                            for f in balanced
+                            if spread([rows[f[u]][f[v]] for u, v in pairs], range(len(rows)))
+                            <= 1
+                        ),
+                        None,
+                    )
+                    assert _first_balanced(n, symbols, pairs, rows) == expected
 
 
 class TestACordial:
@@ -208,3 +237,15 @@ class TestCayleyText:
     def test_empty(self):
         with pytest.raises(ValueError, match="empty"):
             parse_cayley_text("\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 2\n0 1\n1 0\n", "first line must be the table order"),
+            ("x\n", "bad table order 'x'"),
+        ],
+    )
+    def test_bad_order_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_cayley_text(text)
+        assert str(info.value) == message
