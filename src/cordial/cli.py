@@ -98,8 +98,6 @@ def _as_digraph(obj: Union[Graph, Digraph]) -> Digraph:
 def _as_graph(obj: Union[Graph, Digraph]) -> Graph:
     if isinstance(obj, Graph):
         return obj
-    if obj.arc_count == 0:
-        return Graph(obj.vertex_count, ())
     raise ValueError("expected undirected edges ('u v' lines), found arcs")
 
 
@@ -326,15 +324,21 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if override is not None and not args.json:
-        print(override, end="" if override.endswith("\n") else "\n")
-        return code
-    report = RunReport(
-        command=args.command,
-        inputs=inputs,
-        verdicts=verdicts,
-        timing_seconds=round(time.perf_counter() - t0, 6),
-    )
-    print(report.to_json() if args.json else report.to_text())
+        text = override.removesuffix("\n")
+    else:
+        report = RunReport(
+            command=args.command,
+            inputs=inputs,
+            verdicts=verdicts,
+            timing_seconds=round(time.perf_counter() - t0, 6),
+        )
+        text = report.to_json() if args.json else report.to_text()
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): send the rest to os.devnull
+        # so the flush at exit cannot fail again, and keep the exit code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -35,12 +35,12 @@ of ``_dp_pays``:
 - The frontier DP (vertex separation, Kinnersley 1992), for sparse
   inputs, places the vertices in natural order and keeps one int bitset
   per label pattern of the frontier: the placed vertices that still
-  have an unplaced neighbour.  ``_dp_pays``, ``_layout`` and
-  ``_frontier_plan`` read the pairs through one pass, ``_neighbours``,
-  so a DP-routed call reads them twice (route, then walk).  ``_layout``
-  alone knows where a state sits in a bitset: (ones used, alpha, beta)
-  for digraphs, (ones used, lambda) for graphs, whose bitsets are so
-  about m/3 times smaller.
+  have an unplaced neighbour.  Every DP call pins vertex 0 to label 0.
+  ``_dp_pays``, ``_layout`` and ``_frontier_plan`` read the pairs
+  through one pass, ``_neighbours``, so a DP-routed call reads them
+  twice (route, then walk).  ``_layout`` alone knows where a state sits
+  in a bitset: (ones used, alpha, beta) for digraphs, (ones used,
+  lambda) for graphs, whose bitsets are so about m/3 times smaller.
   It costs about n * (n/2) * 2^w for frontier width w: paths have
   w = 1, so ``is_cordial(alternating_path(22))`` takes under 1 ms
   instead of the kernel's 0.1 s.  Its witness walk,
@@ -398,16 +398,16 @@ class _Layout(NamedTuple):
         return sum(counts << (ones * self.one) for ones in {n // 2, (n + 1) // 2})
 
 
-def _layout(n: int, m: int, lower: Lower, directed: bool) -> _Layout:
+def _layout(n: int, m: int, links: int, directed: bool) -> _Layout:
     """The layout of n vertices and m pairs, capped at ceil(m/3) and
     ceil(n/2), the caps of every prefix too.  Spare rows and columns
-    hold the most pairs one vertex has towards lower vertices (the
-    longest list of ``_neighbours``' lower), so a vertex's combined shift
-    never carries into the next row or block before ``valid`` clears it.
-    O(n): ``valid`` and ``goal`` are built only when called."""
+    hold links, the most pairs one vertex has towards lower vertices
+    (the longest list of ``_neighbours``' lower), so a vertex's combined
+    shift never carries into the next row or block before ``valid``
+    clears it.  O(1): ``valid`` and ``goal`` are built only when called."""
     cap = (m + 2) // 3
     max_ones = (n + 1) // 2
-    width = cap + 1 + max(map(len, lower), default=0)
+    width = cap + 1 + links
     one = width * width if directed else width
     shifts = ((0, width), (1, 0)) if directed else ((1, 0), (0, 1))
     return _Layout(directed, cap, max_ones, width, one, shifts, (max_ones + 1) * one)
@@ -437,7 +437,8 @@ def _dp_pays(n: int, pairs: tuple[tuple[int, int], ...], directed: bool) -> bool
         if n * (n // 2) << w >= budget:
             return False
         patterns += 1 << w
-    return patterns * _layout(n, len(pairs), lower, directed).size <= _DP_MAX_BITS
+    links = max(map(len, lower), default=0)
+    return patterns * _layout(n, len(pairs), links, directed).size <= _DP_MAX_BITS
 
 
 # One vertex's step: (w', moves).  Each move (q, sources) lists the
@@ -446,7 +447,7 @@ def _dp_pays(n: int, pairs: tuple[tuple[int, int], ...], directed: bool) -> bool
 Step = tuple[int, list[tuple[int, list[tuple[int, int, int]]]]]
 
 
-def _frontier_plan(last: list[int], lower: Lower, layout: _Layout, pin: bool) -> list[Step]:
+def _frontier_plan(last: list[int], lower: Lower, layout: _Layout) -> list[Step]:
     """The step of each vertex i, in natural order, from the highest and
     lower neighbours of ``_neighbours``' one pass over the pairs.
 
@@ -454,7 +455,7 @@ def _frontier_plan(last: list[int], lower: Lower, layout: _Layout, pin: bool) ->
     at i or above, in ascending order; a pattern p gives the k-th of them
     label bit k of p.  Labeling i with x shifts a bitset by x * one (one
     more 1) plus the layout's shift for each pair joining i to a lower
-    vertex.  pin gives vertex 0 label 0 only.  Vertices whose frontier
+    vertex.  Every plan pins vertex 0 to label 0.  Vertices whose frontier
     looks the same share one step (the inner vertices of a path use two).
     """
     plan = []
@@ -466,7 +467,7 @@ def _frontier_plan(last: list[int], lower: Lower, layout: _Layout, pin: bool) ->
             tuple([last[v] > i for v in frontier]),
             last[i] > i,
             tuple([(frontier.index(u), u_is_tail) for u, u_is_tail in lower[i]]),
-            pin and i == 0,
+            i == 0,
         )
         step = known.get(key)
         if step is None:
@@ -541,8 +542,8 @@ def _frontier_first_mask(
     that the vertex's label takes into the target: no re-mask is needed.
     """
     last, lower = _neighbours(n, pairs)
-    layout = _layout(n, len(pairs), lower, directed)
-    plan = _frontier_plan(last, lower, layout, pin=True)
+    layout = _layout(n, len(pairs), max(map(len, lower), default=0), directed)
+    plan = _frontier_plan(last, lower, layout)
     layers = [[1], *_frontier_layers(plan, layout.valid())]
     target = [layout.goal(n, len(pairs))]
     if not layers[-1][0] & target[0]:

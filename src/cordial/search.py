@@ -194,21 +194,22 @@ def scan_alternating_paths(n_max: int) -> list[int]:
     reads each even prefix's verdict from the layer at its last vertex:
     pruning only drops states whose counts or ones exceed the cap, and
     counts never fall, so the prefix's own reachable states are the ones
-    within its caps.  An n_max whose layer of two bitsets would exceed
-    the engine's ``_DP_MAX_BITS`` is refused.
+    within its caps.  Like every DP call it pins vertex 0 to label 0,
+    which complement symmetry makes exact.  An n_max whose layer of two
+    bitsets would exceed the engine's ``_DP_MAX_BITS`` is refused before
+    the path is built: a path vertex has one lower neighbour, so n_max
+    alone sizes the layout.
     """
     if n_max < 2 or n_max % 2:
         raise ValueError("n_max must be an even integer >= 2")
-    arcs = alternating_path(n_max).arcs
-    last, lower = _neighbours(n_max, arcs)
-    layout = _layout(n_max, len(arcs), lower, True)
+    layout = _layout(n_max, n_max - 1, 1, True)
     bits = 2 * layout.size  # a path's layers hold two patterns
     if bits > _DP_MAX_BITS:
         raise ValueError(
             f"n_max={n_max} needs {bits} bits per DP layer, over the "
             f"{_DP_MAX_BITS}-bit cap"
         )
-    plan = _frontier_plan(last, lower, layout, False)
+    plan = _frontier_plan(*_neighbours(n_max, alternating_path(n_max).arcs), layout)
     failing = []
     for n, layer in enumerate(_frontier_layers(plan, layout.valid()), start=1):
         if n % 2 == 0:

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import io
-import os
 import random
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -22,6 +20,7 @@ from .engine import (
     OrientabilityWitness,
     _labelings,
     _scan_first_mask,
+    _window,
     gamma_triple,
     is_balanced_triple,
     is_cordial,
@@ -41,7 +40,6 @@ from .graphs import (
     path_graph,
     petersen_graph,
     reverse,
-    to_text,
 )
 from .quasigroup import (
     CayleyTable,
@@ -231,15 +229,9 @@ def _check_alternating_p10() -> str:
     _expect(count == 252, f"expected 252 friendly labelings, saw {count}")
     from . import cli
 
-    with tempfile.NamedTemporaryFile("w", suffix=".dg", delete=False) as fh:
-        fh.write(to_text(d))
-        path = fh.name
-    try:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.run(["check-digraph", path])
-    finally:
-        os.unlink(path)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.run(["check-digraph", "alternating_path:10"])
     _expect(code == 1, f"check-digraph exited {code}, expected 1")
     _expect(
         "no cordial labeling" in buf.getvalue(),
@@ -305,7 +297,7 @@ def _check_path_landscape() -> str:
     # labeling whose 0 count m - |B| lies in it needs the full test.
     d22 = alternating_path(22)
     m = len(d22.arcs)
-    window = {m // 3, (m + 2) // 3}
+    window = _window(m)
     t1 = time.perf_counter()
     count = 0
     witness = None
@@ -342,14 +334,6 @@ def _check_window_missed(graph: Graph, what: str, m: int) -> str:
     _expect(count == 252, f"scanned {count} labelings, expected 252")
     _expect(is_orientable(graph) is None, f"{what} reported orientable")
     return "all 252 friendly labelings miss the window; not orientable"
-
-
-def _check_deg3_tree() -> str:
-    return _check_window_missed(counterexample_tree(), "tree", 9)
-
-
-def _check_petersen() -> str:
-    return _check_window_missed(petersen_graph(), "Petersen graph", 15)
 
 
 def _check_window_crossvalidation() -> str:
@@ -558,8 +542,16 @@ ALL_CHECKS: tuple[Check, ...] = (
     Check("alternating-p10-no-cordial-labeling", 1.0, _check_alternating_p10),
     Check("p10-orientation-census", 5.0, _check_p10_orientation_census),
     Check("path-family-landscape", 75.0, _check_path_landscape),
-    Check("deg3-tree-not-orientable", 1.0, _check_deg3_tree),
-    Check("petersen-not-orientable", 1.0, _check_petersen),
+    Check(
+        "deg3-tree-not-orientable",
+        1.0,
+        lambda: _check_window_missed(counterexample_tree(), "tree", 9),
+    ),
+    Check(
+        "petersen-not-orientable",
+        1.0,
+        lambda: _check_window_missed(petersen_graph(), "Petersen graph", 15),
+    ),
     Check("orientability-window-crosscheck", 60.0, _check_window_crossvalidation),
     Check("edge-count-bound", 30.0, _check_edge_bound),
     Check("tournament-census", 60.0, _check_tournaments),
@@ -577,5 +569,5 @@ def all_checks(names: list[str] | None = None) -> list[CheckResult]:
         unknown = [x for x in names if x not in known]
         if unknown:
             raise ValueError(f"unknown check names: {', '.join(unknown)}")
-        selected = tuple(c for c in ALL_CHECKS if c.name in set(names))
+        selected = [c for c in ALL_CHECKS if c.name in names]
     return [check.run() for check in selected]

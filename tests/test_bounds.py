@@ -146,6 +146,13 @@ class TestVerifyBound:
             lambda_count(g, lab) not in window for lab in friendly_labelings(6)
         )
 
+    @pytest.mark.usefixtures("orientable_above_ceiling")
+    def test_violation_reported(self):
+        rep = verify_bound(6)
+        assert rep.violations == (complete_graph(6),)
+        assert rep.tight_witness is not None
+        assert rep.tight_witness.orientation.graph.edge_count == 14
+
     def test_guard(self):
         with pytest.raises(ValueError):
             verify_bound(5)

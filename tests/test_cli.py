@@ -1,11 +1,15 @@
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+import cordial
 from cordial import (
     alternating_path,
     engine,
@@ -199,6 +203,13 @@ class TestScanAndSurveys:
         assert code == 2
         assert "error:" in err
 
+    def test_scan_alternating_million_refused_at_once(self):
+        t0 = time.perf_counter()
+        code, _, err = invoke(["scan-alternating", "1000000"])
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 2
+        assert "bits per DP layer" in err
+
     def test_scan_alternating_150(self):
         t0 = time.perf_counter()
         code, out, _ = invoke(["scan-alternating", "150", "--json"])
@@ -245,6 +256,13 @@ class TestBounds:
         code, out, _ = invoke(["verify-bound", "6"])
         assert code == 0
         assert "violations: 0" in out
+        assert "tight_witness_found: true" in out
+
+    @pytest.mark.usefixtures("orientable_above_ceiling")
+    def test_verify_bound_violation_exits_1(self):
+        code, out, _ = invoke(["verify-bound", "6"])
+        assert code == 1
+        assert "violations: 1" in out
         assert "tight_witness_found: true" in out
 
     def test_verify_bound_guard(self):
@@ -350,6 +368,33 @@ class TestErrors:
         )
         assert code == 2
         assert "loop" in err
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["search", "path:14"], 0),
+            (["check-digraph", "alternating_path:10"], 1),
+            (["gen", "path", "3"], 0),
+        ],
+        ids=["search", "check-digraph", "gen"],
+    )
+    def test_exit_code_kept_and_stderr_empty(self, argv, code):
+        # A reader that closes the pipe before the report is written
+        # (``| head``) must not turn the verdict into a traceback.
+        src = str(Path(cordial.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cordial", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (code, b"")
 
 
 class TestVerifyPaper:

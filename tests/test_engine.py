@@ -513,8 +513,8 @@ class TestLayout:
     def test_layers_fit_the_size_dp_pays_counts(self, monkeypatch, n, directed):
         pairs = banded(n, n, directed)
         last, lower = engine._neighbours(n, pairs)
-        layout = engine._layout(n, len(pairs), lower, directed)
-        plan = engine._frontier_plan(last, lower, layout, pin=True)
+        layout = engine._layout(n, len(pairs), max(map(len, lower)), directed)
+        plan = engine._frontier_plan(last, lower, layout)
         layers = list(engine._frontier_layers(plan, layout.valid()))
         assert all(s.bit_length() <= layout.size for layer in layers for s in layer)
         # Odd n reaches ceil(n/2) ones, one row more than n // 2 + 1 holds.

@@ -26,6 +26,7 @@ from cordial import (
     petersen_graph,
     reverse,
     scan_alternating_paths,
+    search,
     tournament_survey,
 )
 
@@ -242,6 +243,14 @@ class TestScanAlternating:
     def test_oversize_layer_refused(self):
         # 2 * (n_max/2 + 1) * (ceil((n_max - 1)/3) + 2)^2 bits per layer
         # first exceeds the engine's 64 MiB cap at n_max = 1686.
+        with pytest.raises(ValueError, match="bits per DP layer"):
+            scan_alternating_paths(1686)
+
+    def test_oversize_refused_before_the_path_is_built(self, monkeypatch):
+        def no_build(n):
+            raise AssertionError(f"alternating_path({n}) built")
+
+        monkeypatch.setattr(search, "alternating_path", no_build)
         with pytest.raises(ValueError, match="bits per DP layer"):
             scan_alternating_paths(1686)
 

@@ -31,3 +31,13 @@ def test_run(monkeypatch, body, budget, passed, details):
     # Each run reads the clock twice; this one makes every body take 2.5 s.
     monkeypatch.setattr(verify.time, "perf_counter", iter([10.0, 12.5]).__next__)
     assert Check("c", budget, body).run() == CheckResult("c", passed, details, 2.5, budget)
+
+
+@pytest.mark.usefixtures("orientable_above_ceiling")
+def test_edge_count_bound_reports_a_violation():
+    (result,) = verify.all_checks(["edge-count-bound"])
+    assert not result.passed
+    assert result.details.startswith(
+        "1 graphs on 6 vertices exceed max_edges(6)=14 yet are orientable; "
+        "first violation has 15 edges"
+    )
