@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .engine import OrientabilityWitness, _orientable_witness, _scan_first_mask
+from .engine import OrientabilityWitness, _scan_first_mask, is_orientable
 from .graphs import (
     Graph,
     bichromatic_capacity,
@@ -88,9 +88,10 @@ def verify_bound(n: int) -> BoundCheckReport:
     the labeling scan of the orientability check, never through its
     edge-count certificate, which would assume the ceiling under test;
     any that comes back orientable is collected as a violation.  The
-    tight-bound construction at exactly max_edges(n) edges is checked
-    for a witness.  Guarded to 6 <= n <= 7, where the
-    census sizes stay tiny.
+    tight-bound construction at exactly max_edges(n) edges gets its
+    witness from ``is_orientable``: the certificate answers only graphs
+    above the ceiling, so it cannot answer this one.  Guarded to
+    6 <= n <= 7, where the census sizes stay tiny.
     """
     if not 6 <= n <= 7:
         raise ValueError("bound verification supports 6 <= n <= 7")
@@ -104,10 +105,7 @@ def verify_bound(n: int) -> BoundCheckReport:
             g = Graph(n, combo)
             if _scan_first_mask(n, g.edges, False) is not None:
                 violations.append(g)
-    tight_graph = tight_bound_graph(n)
-    tight = _orientable_witness(
-        tight_graph, _scan_first_mask(n, tight_graph.edges, False)
-    )
+    tight = is_orientable(tight_bound_graph(n))
     return BoundCheckReport(
         n=n,
         graphs_checked=checked,

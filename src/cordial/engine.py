@@ -18,8 +18,8 @@ normalized to label vertex 0 with 0.
 mask of ``_first_mask``.  It applies the certificates first (an input
 with more edges than ``max_edges(n)`` is answered None without a scan)
 and hands every other input to one of two searches with one contract,
-``(n, pairs, directed) -> first mask or None``, chosen by the estimate
-of ``_dp_pays``:
+``(n, pairs, directed) -> first mask or None``, chosen by an estimate
+of their work read off the DP's own plan:
 
 - The kernel, ``_scan_first_mask`` over ``_labelings``, enumerates
   friendly labelings and tests lambda against the window first.  It lists
@@ -36,15 +36,16 @@ of ``_dp_pays``:
   inputs, places the vertices in natural order and keeps one int bitset
   per label pattern of the frontier: the placed vertices that still
   have an unplaced neighbour.  Every DP call pins vertex 0 to label 0.
-  ``_dp_pays``, ``_layout`` and ``_frontier_plan`` read the pairs
-  through one pass, ``_neighbours``, so a DP-routed call reads them
-  twice (route, then walk).  ``_layout`` alone knows where a state sits
+  ``_frontier_plan`` reads the pairs in one pass, sizes the layout and
+  yields each vertex's step lazily; ``_first_mask`` routes on the widths
+  of those steps and the DP then walks the same steps, so a DP-routed
+  call reads its pairs once.  ``_layout`` alone knows where a state sits
   in a bitset: (ones used, alpha, beta) for digraphs, (ones used,
   lambda) for graphs, whose bitsets are so about m/3 times smaller.
   It costs about n * (n/2) * 2^w for frontier width w: paths have
   w = 1, so ``is_cordial(alternating_path(22))`` takes under 1 ms
   instead of the kernel's 0.1 s.  Its witness walk,
-  ``_frontier_first_mask``, is also ``search.path_cordial_dp``, and
+  ``_frontier_walk``, is also ``search.path_cordial_dp``'s, and
   ``_frontier_layers`` the layer builder of
   ``search.scan_alternating_paths``.
 """
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .graphs import (
     Digraph,
@@ -185,8 +186,8 @@ def is_cordial(digraph: Digraph) -> LabelingReport | None:
     Returns the report of the first witness in ascending labeling-mask
     order (vertex 0 pinned to label 0), or None when the digraph is not
     (2,3)-cordial, without a scan when it has more arcs than max_edges(n).
-    Inputs the frontier DP answers more cheaply (``_dp_pays``) go to it;
-    both routes return the same witness.
+    Inputs the frontier DP answers more cheaply go to it (see
+    ``_first_mask``); both routes return the same witness.
     """
     mask = _first_mask(digraph.vertex_count, digraph.arcs, True)
     if mask is None:
@@ -203,14 +204,33 @@ def _first_mask(
     """The first mask both deciders report, or None when there is none.
 
     Certificates come first: more pairs than ``max_edges(n)`` leave no
-    friendly labeling a balanced triple, so no search starts.  Every
-    other input goes to the search ``_dp_pays`` picks; both return the
-    same mask.
+    friendly labeling a balanced triple, so no search starts.  The
+    frontier DP costs about n * (n/2) * 2^w for frontier width w (bitsets
+    of n/2 ones rows, 2^w patterns per vertex) and the kernel reads about
+    C(n - 1, floor(n/2)) labelings, the budget once divided by
+    ``_LABELINGS_PER_DP_UNIT``.  An input whose DP would reach the budget
+    even at w = 0 stays on the kernel without a plan.  Every other one
+    reads the steps of ``_frontier_plan`` until a width reaches the
+    budget or the layers would pass ``_DP_MAX_BITS`` (kernel); otherwise
+    the DP walks the plan just read.  Both searches return the same mask.
     """
-    if n >= 2 and len(pairs) > max_edges(n):
+    if n < 2:
+        return _scan_first_mask(n, pairs, directed)
+    if len(pairs) > max_edges(n):
         return None
-    first_mask = _frontier_first_mask if _dp_pays(n, pairs, directed) else _scan_first_mask
-    return first_mask(n, pairs, directed)
+    budget = comb(n - 1, n // 2) // _LABELINGS_PER_DP_UNIT
+    unit = n * (n // 2)
+    if unit < budget:
+        layout, steps = _frontier_plan(n, pairs, directed)
+        plan, bits = [], 0
+        for step in steps:
+            bits += layout.size << step[0]
+            if unit << step[0] >= budget or bits > _DP_MAX_BITS:
+                break
+            plan.append(step)
+        else:
+            return _frontier_walk(plan, layout, layout.goal(n, len(pairs)))
+    return _scan_first_mask(n, pairs, directed)
 
 
 def _window(m: int) -> set[int]:
@@ -308,13 +328,9 @@ def is_orientable(graph: Graph) -> OrientabilityWitness | None:
     to 0) in ascending mask order whose monochromatic edge count lands in
     the balanced window.  A graph with more edges than max_edges(n) is
     answered None without a scan; inputs the frontier DP answers more
-    cheaply (``_dp_pays``) go to it, with the same witness.
+    cheaply go to it (see ``_first_mask``), with the same witness.
     """
-    return _orientable_witness(graph, _first_mask(graph.vertex_count, graph.edges, False))
-
-
-def _orientable_witness(graph: Graph, mask: int | None) -> OrientabilityWitness | None:
-    """The witness of a first mask, or None for no mask."""
+    mask = _first_mask(graph.vertex_count, graph.edges, False)
     if mask is None:
         return None
     labeling = VertexLabeling(graph.vertex_count, mask)
@@ -332,28 +348,6 @@ _LABELINGS_PER_DP_UNIT = 16
 # would exceed this many bits (64 MiB) stay with the kernel, which runs
 # longer but in little memory.
 _DP_MAX_BITS = 1 << 29
-
-
-# Each vertex's lower neighbours u, as (u, whether u is the pair's tail).
-Lower = list[list[tuple[int, bool]]]
-
-
-def _neighbours(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[list[int], Lower]:
-    """The frontier DP's one pass over the pairs: each vertex's highest
-    neighbour (the vertex itself if none is higher) and its lower
-    neighbours, in pair order."""
-    last = list(range(n))
-    lower: Lower = [[] for _ in range(n)]
-    for t, h in pairs:
-        if t < h:
-            lower[h].append((t, True))
-            if h > last[t]:
-                last[t] = h
-        else:
-            lower[t].append((h, False))
-            if t > last[h]:
-                last[h] = t
-    return last, lower
 
 
 Shifts = tuple[tuple[int, int], tuple[int, int]]
@@ -401,10 +395,10 @@ class _Layout(NamedTuple):
 def _layout(n: int, m: int, links: int, directed: bool) -> _Layout:
     """The layout of n vertices and m pairs, capped at ceil(m/3) and
     ceil(n/2), the caps of every prefix too.  Spare rows and columns
-    hold links, the most pairs one vertex has towards lower vertices
-    (the longest list of ``_neighbours``' lower), so a vertex's combined
-    shift never carries into the next row or block before ``valid``
-    clears it.  O(1): ``valid`` and ``goal`` are built only when called."""
+    hold links, the most pairs one vertex has towards lower vertices, so
+    a vertex's combined shift never carries into the next row or block
+    before ``valid`` clears it.  O(1): ``valid`` and ``goal`` are built
+    only when called."""
     cap = (m + 2) // 3
     max_ones = (n + 1) // 2
     width = cap + 1 + links
@@ -413,70 +407,62 @@ def _layout(n: int, m: int, links: int, directed: bool) -> _Layout:
     return _Layout(directed, cap, max_ones, width, one, shifts, (max_ones + 1) * one)
 
 
-def _dp_pays(n: int, pairs: tuple[tuple[int, int], ...], directed: bool) -> bool:
-    """True when the frontier DP's estimated work is well below the kernel's
-    and its layers fit in ``_DP_MAX_BITS``.
-
-    The DP's work is about n * (n/2) * 2^w for the natural order's
-    frontier width w (bitsets of n/2 ones rows, 2^w patterns per
-    vertex); the kernel reads about C(n - 1, floor(n/2)) labelings.  The
-    layers hold one bitset of ``_layout``'s size per pattern.  O(n + m).
-    """
-    if n < 2:
-        return False
-    budget = comb(n - 1, n // 2) // _LABELINGS_PER_DP_UNIT
-    if n * (n // 2) >= budget:
-        return False
-    last, lower = _neighbours(n, pairs)
-    leaving = [0] * n
-    for v in range(n):
-        leaving[last[v]] += last[v] > v
-    w = patterns = 0
-    for i in range(n):
-        w += (last[i] > i) - leaving[i]
-        if n * (n // 2) << w >= budget:
-            return False
-        patterns += 1 << w
-    links = max(map(len, lower), default=0)
-    return patterns * _layout(n, len(pairs), links, directed).size <= _DP_MAX_BITS
-
-
 # One vertex's step: (w', moves).  Each move (q, sources) lists the
 # (p, x, shift) that send frontier pattern p before the vertex, labeled
 # x, to pattern q after it, shifting the bitset by shift.
 Step = tuple[int, list[tuple[int, list[tuple[int, int, int]]]]]
 
 
-def _frontier_plan(last: list[int], lower: Lower, layout: _Layout) -> list[Step]:
-    """The step of each vertex i, in natural order, from the highest and
-    lower neighbours of ``_neighbours``' one pass over the pairs.
+def _frontier_plan(
+    n: int, pairs: tuple[tuple[int, int], ...], directed: bool
+) -> tuple[_Layout, Iterator[Step]]:
+    """The frontier DP's one pass over the pairs: the layout of n vertices
+    and the pairs, and a lazy iterator over the step of each vertex i in
+    natural order, so a caller can stop at the first step too wide.
 
-    The frontier before vertex i is the vertices below i with a neighbour
-    at i or above, in ascending order; a pattern p gives the k-th of them
-    label bit k of p.  Labeling i with x shifts a bitset by x * one (one
-    more 1) plus the layout's shift for each pair joining i to a lower
-    vertex.  Every plan pins vertex 0 to label 0.  Vertices whose frontier
-    looks the same share one step (the inner vertices of a path use two).
+    The pass finds each vertex's highest neighbour (the vertex itself if
+    none is higher) and its lower neighbours u, as (u, whether u is the
+    pair's tail), in pair order.  The frontier before vertex i is the
+    vertices below i with a neighbour at i or above, in ascending order;
+    a pattern p gives the k-th of them label bit k of p.  Labeling i with
+    x shifts a bitset by x * one (one more 1) plus the layout's shift for
+    each pair joining i to a lower vertex.  Every plan pins vertex 0 to
+    label 0.  Vertices whose frontier looks the same share one step (the
+    inner vertices of a path use two).
     """
-    plan = []
-    known: dict[tuple, Step] = {}
-    frontier: list[int] = []
-    for i in range(len(last)):
-        # Tuples from lists: see graphs.orient.
-        key = (
-            tuple([last[v] > i for v in frontier]),
-            last[i] > i,
-            tuple([(frontier.index(u), u_is_tail) for u, u_is_tail in lower[i]]),
-            i == 0,
-        )
-        step = known.get(key)
-        if step is None:
-            step = known[key] = _frontier_step(*key, layout.shifts, layout.one)
-        plan.append(step)
-        frontier = [v for v in frontier if last[v] > i]
-        if last[i] > i:
-            frontier.append(i)
-    return plan
+    last = list(range(n))
+    lower: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+    for t, h in pairs:
+        if t < h:
+            lower[h].append((t, True))
+            if h > last[t]:
+                last[t] = h
+        else:
+            lower[t].append((h, False))
+            if t > last[h]:
+                last[h] = t
+    layout = _layout(n, len(pairs), max(map(len, lower), default=0), directed)
+
+    def steps() -> Iterator[Step]:
+        known: dict[tuple, Step] = {}
+        frontier: list[int] = []
+        for i in range(n):
+            # Tuples from lists: see graphs.orient.
+            key = (
+                tuple([last[v] > i for v in frontier]),
+                last[i] > i,
+                tuple([(frontier.index(u), u_is_tail) for u, u_is_tail in lower[i]]),
+                i == 0,
+            )
+            step = known.get(key)
+            if step is None:
+                step = known[key] = _frontier_step(*key, layout.shifts, layout.one)
+            yield step
+            frontier = [v for v in frontier if last[v] > i]
+            if last[i] > i:
+                frontier.append(i)
+
+    return layout, steps()
 
 
 def _frontier_step(
@@ -504,7 +490,7 @@ def _frontier_step(
     return len(kept) + joins, list(moves.items())
 
 
-def _frontier_layers(plan: list[Step], valid: int) -> Iterator[list[int]]:
+def _frontier_layers(plan: Iterable[Step], valid: int) -> Iterator[list[int]]:
     """Reachable states after each vertex of ``plan``, one layer per vertex.
 
     Entry p of the layer after vertex i is one int over (ones, counts):
@@ -529,27 +515,31 @@ def _frontier_layers(plan: list[Step], valid: int) -> Iterator[list[int]]:
 def _frontier_first_mask(
     n: int, pairs: tuple[tuple[int, int], ...], directed: bool
 ) -> int | None:
-    """``_scan_first_mask``'s mask, computed by the frontier DP.
+    """``_scan_first_mask``'s mask, computed by the frontier DP whatever
+    the size."""
+    layout, steps = _frontier_plan(n, pairs, directed)
+    return _frontier_walk(list(steps), layout, layout.goal(n, len(pairs)))
 
-    The bitsets are laid out by ``_layout`` and vertex 0 is pinned to 0.
-    The first friendly mask in ascending order is found by walking
-    from vertex n - 1 down with one target bitset per frontier pattern
-    (the reachable ones and counts that still complete to a friendly
-    labeling with a balanced triple, given the labels already fixed),
-    choosing label 0 whenever a reachable state meets its target.  Every
-    target bit is a valid state and a vertex's shift never carries out of
-    one, so before & (target >> shift) is exactly the reachable states
-    that the vertex's label takes into the target: no re-mask is needed.
+
+def _frontier_walk(plan: list[Step], layout: _Layout, goal: int) -> int | None:
+    """The first friendly mask in ascending order, vertex 0 pinned to 0,
+    whose states after the last vertex of ``plan`` meet ``goal``.
+
+    The first mask is found by walking from the last vertex down with one
+    target bitset per frontier pattern (the reachable ones and counts
+    that still complete to a friendly labeling with a balanced triple,
+    given the labels already fixed), choosing label 0 whenever a
+    reachable state meets its target.  Every target bit is a valid state
+    and a vertex's shift never carries out of one, so before & (target
+    >> shift) is exactly the reachable states that the vertex's label
+    takes into the target: no re-mask is needed.
     """
-    last, lower = _neighbours(n, pairs)
-    layout = _layout(n, len(pairs), max(map(len, lower), default=0), directed)
-    plan = _frontier_plan(last, lower, layout)
     layers = [[1], *_frontier_layers(plan, layout.valid())]
-    target = [layout.goal(n, len(pairs))]
+    target = [goal]
     if not layers[-1][0] & target[0]:
         return None
     mask = 0
-    for i in range(n - 1, -1, -1):
+    for i in range(len(plan) - 1, -1, -1):
         moves = plan[i][1]
         before = layers[i]
         for label in (0, 1):

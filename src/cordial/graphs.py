@@ -71,16 +71,9 @@ class Graph:
 
 
 def make_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from pairs given in either endpoint order."""
-    norm = []
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"loop edge ({u},{v})")
-        norm.append((u, v) if u < v else (v, u))
-    norm.sort()
-    for a, b in zip(norm, norm[1:]):
-        if a == b:
-            raise ValueError(f"duplicate edge {a}")
+    """Build a Graph from pairs given in either endpoint order; ``Graph``
+    rejects loops, repeated edges and out-of-range endpoints."""
+    norm = sorted([(u, v) if u < v else (v, u) for u, v in edges])
     return Graph(vertex_count, tuple(norm))
 
 

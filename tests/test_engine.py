@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -466,11 +467,17 @@ class TestRouting:
             assert is_friendly(report.labeling) and is_balanced_triple(report.gamma)
             assert report.labeling.label(0) == 0
 
-    def test_dp_layers_are_capped(self):
+    def test_dp_layers_are_capped(self, monkeypatch):
         # Every layer is kept for the witness walk: alternating_path(250)
         # needs under 64 MiB of bitsets, alternating_path(260) more.
-        assert engine._dp_pays(250, alternating_path(250).arcs, True)
-        assert not engine._dp_pays(260, alternating_path(260).arcs, True)
+        for n, fits in ((250, True), (260, False)):
+            layout, steps = engine._frontier_plan(n, alternating_path(n).arcs, True)
+            bits = sum(layout.size << w for w, _ in steps)
+            assert (bits <= engine._DP_MAX_BITS) == fits
+        monkeypatch.setattr(engine, "_labelings", refuse_scan)
+        assert engine._first_mask(250, alternating_path(250).arcs, True) is None
+        with pytest.raises(AssertionError, match="labeling scan started"):
+            engine._first_mask(260, alternating_path(260).arcs, True)
 
     @pytest.mark.parametrize("n", [22, 28, 34, 46, 394])
     def test_caterpillars_go_to_the_dp(self, monkeypatch, n):
@@ -512,18 +519,92 @@ class TestLayout:
     @pytest.mark.parametrize("directed", [True, False])
     def test_layers_fit_the_size_dp_pays_counts(self, monkeypatch, n, directed):
         pairs = banded(n, n, directed)
-        last, lower = engine._neighbours(n, pairs)
-        layout = engine._layout(n, len(pairs), max(map(len, lower)), directed)
-        plan = engine._frontier_plan(last, lower, layout)
-        layers = list(engine._frontier_layers(plan, layout.valid()))
+        layout, steps = engine._frontier_plan(n, pairs, directed)
+        layers = list(engine._frontier_layers(steps, layout.valid()))
         assert all(s.bit_length() <= layout.size for layer in layers for s in layer)
         # Odd n reaches ceil(n/2) ones, one row more than n // 2 + 1 holds.
         assert max(s.bit_length() for s in layers[-1]) > layout.size - layout.one
         bound = layout.size * sum(len(layer) for layer in layers)
+        first = scan_mask(n, pairs, directed)
+        monkeypatch.setattr(engine, "_labelings", refuse_scan)
         monkeypatch.setattr(engine, "_DP_MAX_BITS", bound)
-        assert engine._dp_pays(n, pairs, directed)
+        assert engine._first_mask(n, pairs, directed) == first
         monkeypatch.setattr(engine, "_DP_MAX_BITS", bound - 1)
-        assert not engine._dp_pays(n, pairs, directed)
+        with pytest.raises(AssertionError, match="labeling scan started"):
+            engine._first_mask(n, pairs, directed)
+
+
+class CountingPairs(tuple):
+    """A pair tuple that counts how often it is iterated."""
+
+    reads = 0
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def dp_pays(n, pairs, directed):
+    """The route rule written out plainly: the frontier DP is taken when
+    no width w after a vertex makes its work n * (n // 2) * 2^w reach the
+    kernel's budget and its layers fit in _DP_MAX_BITS."""
+    if n < 2 or len(pairs) > max_edges(n):
+        return False
+    last = list(range(n))
+    links = [0] * n
+    for t, h in pairs:
+        last[t] = max(last[t], h)
+        last[h] = max(last[h], t)
+        links[max(t, h)] += 1
+    widths = [sum(last[v] > i for v in range(i + 1)) for i in range(n)]
+    budget = comb(n - 1, n // 2) // engine._LABELINGS_PER_DP_UNIT
+    size = engine._layout(n, len(pairs), max(links), directed).size
+    return (
+        all(n * (n // 2) << w < budget for w in widths)
+        and size * sum(1 << w for w in widths) <= engine._DP_MAX_BITS
+    )
+
+
+def route_inputs():
+    for n in range(14, 41):
+        for directed in (True, False):
+            yield n, banded(n, n, directed), directed
+    for n in range(14, 61, 2):
+        yield n, caterpillar(n).edges, False
+    for n in range(14, 23):
+        for seed in range(5):
+            yield n, sparse_digraph(n, seed).arcs, True
+    for n in range(240, 271, 2):
+        yield n, alternating_path(n).arcs, True
+
+
+class TestOneDecision:
+    @pytest.mark.parametrize(
+        "n, pairs, directed",
+        [
+            (22, alternating_path(22).arcs, True),
+            (60, alternating_path(60).arcs, True),
+            (22, caterpillar(22).edges, False),
+        ],
+    )
+    def test_dp_route_reads_its_pairs_once(self, monkeypatch, n, pairs, directed):
+        monkeypatch.setattr(engine, "_labelings", refuse_scan)
+        counted = CountingPairs(pairs)
+        assert engine._first_mask(n, counted, directed) == engine._frontier_first_mask(
+            n, pairs, directed
+        )
+        assert counted.reads == 1
+
+    def test_route_matches_the_plain_rule(self, monkeypatch):
+        routes = []
+        monkeypatch.setattr(engine, "_scan_first_mask", lambda *a: routes.append("kernel"))
+        monkeypatch.setattr(engine, "_frontier_walk", lambda *a: routes.append("dp"))
+        expected = []
+        for n, pairs, directed in route_inputs():
+            engine._first_mask(n, pairs, directed)
+            expected.append("dp" if dp_pays(n, pairs, directed) else "kernel")
+        assert routes == expected
+        assert {"dp", "kernel"} <= set(routes)
 
 
 class TestLabelingTriples:

@@ -301,6 +301,12 @@ class TestTextFormat:
         (lambda: Graph(-1), ValueError, "vertex_count must be nonnegative"),
         (lambda: Graph(2, ((0, 0),)), ValueError, "loop edge (0,0)"),
         (lambda: Graph(3, ((0, 1), (0, 1))), ValueError, "duplicate edge (0,1)"),
+        pytest.param(
+            lambda: make_graph(3, [(0, 1), (1, 0)]),
+            ValueError,
+            "duplicate edge (0,1)",
+            id="make_graph-duplicate-edge",
+        ),
         (lambda: Digraph(-1), ValueError, "vertex_count must be nonnegative"),
         (lambda: Digraph(2, ((0, 2),)), ValueError, "arc (0,2) endpoint out of range for n=2"),
         (lambda: path_graph(0), ValueError, "path needs at least 1 vertex"),
