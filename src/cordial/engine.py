@@ -25,10 +25,12 @@ of their work read off the DP's own plan:
   friendly labelings and tests lambda against the window first.  It lists
   the label-1 subsets of the low half of the vertices once per call,
   with the XORs of their incidence and head masks, walks the high half's
-  subsets in ascending order the same way, and joins each to the low
-  subsets of fitting size, so each friendly labeling costs two XORs
-  (B and the heads mask H) and no per-edge loop; a directed scan forms
-  P = B & H only when lambda lies in the window.  Only the low list is
+  subsets in ascending order the same way, and hands each with the low
+  subsets of fitting size to its reader as one batch.  The reader joins
+  them inline: one XOR and one popcount per labeling (lambda from
+  B = bh ^ bl), the heads mask H = hh ^ hl only inside the window, where
+  a directed scan forms P = B & H, and the mask mh | ml only for a
+  labeling it keeps; there is no per-edge loop.  Only the low list is
   stored: 2^(ceil(n/2) - 1) tuples with vertex 0 pinned, 0.16 MB at
   n = 22 and 22 MB at n = 36 (tracemalloc).  Every other labeling scan
   reads it too.
@@ -37,9 +39,10 @@ of their work read off the DP's own plan:
   per label pattern of the frontier: the placed vertices that still
   have an unplaced neighbour.  Every DP call pins vertex 0 to label 0.
   ``_frontier_plan`` reads the pairs in one pass, sizes the layout and
-  yields each vertex's step lazily; ``_first_mask`` routes on the widths
-  of those steps and the DP then walks the same steps, so a DP-routed
-  call reads its pairs once.  ``_layout`` alone knows where a state sits
+  yields each vertex's width and step key lazily; ``_first_mask`` routes
+  on those widths, and only a DP-routed call builds the steps, from the
+  keys it read, so it reads its pairs once and a kernel-routed call
+  builds no step.  ``_layout`` alone knows where a state sits
   in a bitset: (ones used, alpha, beta) for digraphs, (ones used,
   lambda) for graphs, whose bitsets are so about m/3 times smaller.
   It costs about n * (n/2) * 2^w for frontier width w: paths have
@@ -120,17 +123,32 @@ def lambda_count(graph: Graph, labeling: VertexLabeling) -> int:
     )
 
 
+# One labeling batch: a high-half subset (mh, bh, hh) and the ascending
+# (ml, bl, hl) of every low-half subset of fitting size.
+Batch = tuple[int, int, int, list[tuple[int, int, int]]]
+
+
 def _labelings(
     n: int, pairs: tuple[tuple[int, int], ...], pin: bool = True
-) -> Iterator[tuple[int, int, int]]:
-    """(mask, B, H) of each friendly labeling of n vertices, ascending.
+) -> Iterator[Batch]:
+    """The friendly labelings of n vertices, one batch per subset of the
+    high half of the vertices, in ascending order of its mask mh.
 
-    B marks the pairs (t, h) whose ends differ in label and H those whose
-    head h is labeled 1, so P = B & H marks the bichromatic pairs with
-    h labeled 1 and arcs ``pairs`` get alpha = |P|, beta = |B| - |P| and
-    gamma_0 = lambda = m - |B|.  Readers form P only for labelings whose
-    lambda lies in the window, and undirected ones never.  pin labels
-    vertex 0 with 0, keeping one labeling of each complement pair.
+    A subset of vertices carries its mask, B (the pairs with exactly one
+    end in it) and H (the pairs whose head h is in it).  The batch of mh
+    lists the low-half subsets whose sizes make mh | ml friendly, in
+    ascending ml, so reading each batch's list in turn gives the masks
+    mh | ml in ascending order.  The labeling's B = bh ^ bl marks the
+    pairs (t, h) whose ends differ in label and H = hh ^ hl those whose
+    head is labeled 1, so P = B & H marks the bichromatic pairs with h
+    labeled 1 and arcs ``pairs`` get alpha = |P|, beta = |B| - |P| and
+    gamma_0 = lambda = m - |B|.  A reader joins each batch inline: one
+    XOR and one popcount per labeling for lambda, the heads mask only
+    for labelings whose lambda lies in the window (undirected readers
+    never), and the mask only for labelings it keeps.  Every batch with
+    the same number of high ones shares one list, which readers must not
+    change.  pin labels vertex 0 with 0, keeping one labeling of each
+    complement pair.
     """
     incident = [0] * n
     head = [0] * n
@@ -161,8 +179,7 @@ def _labelings(
         for k in range(n - half + 1)
     ]
     for mh, bh, hh in subsets(range(half, n)):
-        for ml, bl, hl in fitting[mh.bit_count()]:
-            yield mh | ml, bh ^ bl, hh ^ hl
+        yield mh, bh, hh, fitting[mh.bit_count()]
 
 
 @dataclass(frozen=True)
@@ -210,9 +227,11 @@ def _first_mask(
     C(n - 1, floor(n/2)) labelings, the budget once divided by
     ``_LABELINGS_PER_DP_UNIT``.  An input whose DP would reach the budget
     even at w = 0 stays on the kernel without a plan.  Every other one
-    reads the steps of ``_frontier_plan`` until a width reaches the
+    reads the widths of ``_frontier_plan`` until one reaches the
     budget or the layers would pass ``_DP_MAX_BITS`` (kernel); otherwise
-    the DP walks the plan just read.  Both searches return the same mask.
+    the DP walks the plan just read.  The widths come from the steps'
+    keys, so a kernel-routed input builds no step.  Both searches return
+    the same mask.
     """
     if n < 2:
         return _scan_first_mask(n, pairs, directed)
@@ -221,15 +240,15 @@ def _first_mask(
     budget = comb(n - 1, n // 2) // _LABELINGS_PER_DP_UNIT
     unit = n * (n // 2)
     if unit < budget:
-        layout, steps = _frontier_plan(n, pairs, directed)
-        plan, bits = [], 0
-        for step in steps:
-            bits += layout.size << step[0]
-            if unit << step[0] >= budget or bits > _DP_MAX_BITS:
+        layout, plan = _frontier_plan(n, pairs, directed)
+        read, bits = [], 0
+        for w, key in plan:
+            bits += layout.size << w
+            if unit << w >= budget or bits > _DP_MAX_BITS:
                 break
-            plan.append(step)
+            read.append((w, key))
         else:
-            return _frontier_walk(plan, layout, layout.goal(n, len(pairs)))
+            return _frontier_walk(read, layout, layout.goal(n, len(pairs)))
     return _scan_first_mask(n, pairs, directed)
 
 
@@ -246,20 +265,22 @@ def _scan_first_mask(
     that passes the window test, read from the kernel.
 
     Every decider needs lambda = m - |B| in the window, so it is tested
-    first.  Directed: alpha = |P| and beta = |B| - |P| must lie in it
-    too.  Undirected: lambda alone, since ``construct_witness_orientation``
-    splits the bichromatic pairs evenly.
+    first, as |B| in ``bichromatic``.  Directed: alpha = |P| and
+    beta = |B| - |P| must lie in it too.  Undirected: lambda alone, since
+    ``construct_witness_orientation`` splits the bichromatic pairs evenly.
     """
     m = len(pairs)
     window = _window(m)
-    for mask, bi, heads in _labelings(n, pairs):
-        k = bi.bit_count()
-        if m - k in window:
-            if not directed:
-                return mask
-            alpha = (bi & heads).bit_count()
-            if alpha in window and k - alpha in window:
-                return mask
+    bichromatic = {m - lam for lam in window}
+    for mh, bh, hh, lows in _labelings(n, pairs):
+        for ml, bl, hl in lows:
+            if (bh ^ bl).bit_count() in bichromatic:
+                if not directed:
+                    return mh | ml
+                bi = bh ^ bl
+                alpha = (bi & (hh ^ hl)).bit_count()
+                if alpha in window and bi.bit_count() - alpha in window:
+                    return mh | ml
     return None
 
 
@@ -411,14 +432,18 @@ def _layout(n: int, m: int, links: int, directed: bool) -> _Layout:
 # (p, x, shift) that send frontier pattern p before the vertex, labeled
 # x, to pattern q after it, shifting the bitset by shift.
 Step = tuple[int, list[tuple[int, list[tuple[int, int, int]]]]]
+# What a step is built from: ``_frontier_step``'s first four arguments.
+StepKey = tuple[tuple[bool, ...], bool, tuple[tuple[int, bool], ...], bool]
 
 
 def _frontier_plan(
     n: int, pairs: tuple[tuple[int, int], ...], directed: bool
-) -> tuple[_Layout, Iterator[Step]]:
+) -> tuple[_Layout, Iterator[tuple[int, StepKey]]]:
     """The frontier DP's one pass over the pairs: the layout of n vertices
-    and the pairs, and a lazy iterator over the step of each vertex i in
-    natural order, so a caller can stop at the first step too wide.
+    and the pairs, and a lazy iterator over (w', key) for each vertex i in
+    natural order, w' its frontier width after i and key what its step is
+    built from (``_frontier_steps``), so a caller can stop at the first
+    vertex too wide without building a step.
 
     The pass finds each vertex's highest neighbour (the vertex itself if
     none is higher) and its lower neighbours u, as (u, whether u is the
@@ -427,8 +452,7 @@ def _frontier_plan(
     a pattern p gives the k-th of them label bit k of p.  Labeling i with
     x shifts a bitset by x * one (one more 1) plus the layout's shift for
     each pair joining i to a lower vertex.  Every plan pins vertex 0 to
-    label 0.  Vertices whose frontier looks the same share one step (the
-    inner vertices of a path use two).
+    label 0.
     """
     last = list(range(n))
     lower: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
@@ -443,8 +467,7 @@ def _frontier_plan(
                 last[h] = t
     layout = _layout(n, len(pairs), max(map(len, lower), default=0), directed)
 
-    def steps() -> Iterator[Step]:
-        known: dict[tuple, Step] = {}
+    def plan() -> Iterator[tuple[int, StepKey]]:
         frontier: list[int] = []
         for i in range(n):
             # Tuples from lists: see graphs.orient.
@@ -454,15 +477,27 @@ def _frontier_plan(
                 tuple([(frontier.index(u), u_is_tail) for u, u_is_tail in lower[i]]),
                 i == 0,
             )
-            step = known.get(key)
-            if step is None:
-                step = known[key] = _frontier_step(*key, layout.shifts, layout.one)
-            yield step
             frontier = [v for v in frontier if last[v] > i]
             if last[i] > i:
                 frontier.append(i)
+            yield len(frontier), key
 
-    return layout, steps()
+    return layout, plan()
+
+
+def _frontier_steps(
+    plan: Iterable[tuple[int, StepKey]], layout: _Layout
+) -> list[Step]:
+    """The step of each (w', key) of ``plan``.  Vertices whose frontier
+    looks the same share one step (the inner vertices of a path use two)."""
+    known: dict[StepKey, Step] = {}
+    steps = []
+    for _, key in plan:
+        step = known.get(key)
+        if step is None:
+            step = known[key] = _frontier_step(*key, layout.shifts, layout.one)
+        steps.append(step)
+    return steps
 
 
 def _frontier_step(
@@ -517,11 +552,13 @@ def _frontier_first_mask(
 ) -> int | None:
     """``_scan_first_mask``'s mask, computed by the frontier DP whatever
     the size."""
-    layout, steps = _frontier_plan(n, pairs, directed)
-    return _frontier_walk(list(steps), layout, layout.goal(n, len(pairs)))
+    layout, plan = _frontier_plan(n, pairs, directed)
+    return _frontier_walk(list(plan), layout, layout.goal(n, len(pairs)))
 
 
-def _frontier_walk(plan: list[Step], layout: _Layout, goal: int) -> int | None:
+def _frontier_walk(
+    plan: list[tuple[int, StepKey]], layout: _Layout, goal: int
+) -> int | None:
     """The first friendly mask in ascending order, vertex 0 pinned to 0,
     whose states after the last vertex of ``plan`` meet ``goal``.
 
@@ -534,13 +571,14 @@ def _frontier_walk(plan: list[Step], layout: _Layout, goal: int) -> int | None:
     >> shift) is exactly the reachable states that the vertex's label
     takes into the target: no re-mask is needed.
     """
-    layers = [[1], *_frontier_layers(plan, layout.valid())]
+    steps = _frontier_steps(plan, layout)
+    layers = [[1], *_frontier_layers(steps, layout.valid())]
     target = [goal]
     if not layers[-1][0] & target[0]:
         return None
     mask = 0
-    for i in range(len(plan) - 1, -1, -1):
-        moves = plan[i][1]
+    for i in range(len(steps) - 1, -1, -1):
+        moves = steps[i][1]
         before = layers[i]
         for label in (0, 1):
             pulled = [0] * len(before)

@@ -31,6 +31,7 @@ from .engine import (
     _frontier_first_mask,
     _frontier_layers,
     _frontier_plan,
+    _frontier_steps,
     _labelings,
     _layout,
     _window,
@@ -68,8 +69,9 @@ def friendly_labelings(
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    for mask, _, _ in _labelings(n, (), pin=fix_first_label):
-        yield VertexLabeling(n, mask)
+    for mh, _, _, lows in _labelings(n, (), pin=fix_first_label):
+        for ml, _, _ in lows:
+            yield VertexLabeling(n, mh | ml)
 
 
 def orientations(graph: Graph, fix_first_arc: bool = False) -> Iterator[Orientation]:
@@ -105,11 +107,13 @@ def _window_triples(graph: Graph) -> list[tuple[int, int, frozenset[int]]]:
     """
     m = graph.edge_count
     window = _window(m)
-    pairs = {
-        (bi & heads, bi)
-        for _, bi, heads in _labelings(graph.vertex_count, graph.edges)
-        if m - bi.bit_count() in window
-    }
+    bichromatic = {m - lam for lam in window}
+    pairs = set()
+    for _, bh, hh, lows in _labelings(graph.vertex_count, graph.edges):
+        for _, bl, hl in lows:
+            if (bh ^ bl).bit_count() in bichromatic:
+                bi = bh ^ bl
+                pairs.add((bi & (hh ^ hl), bi))
     return [
         (plus, bi, frozenset(a for a in window if bi.bit_count() - a in window))
         for plus, bi in pairs
@@ -212,8 +216,9 @@ def scan_alternating_paths(n_max: int) -> list[int]:
             f"{_DP_MAX_BITS}-bit cap"
         )
     plan = _frontier_plan(n_max, alternating_path(n_max).arcs, True)[1]
+    steps = _frontier_steps(plan, layout)
     failing = []
-    for n, layer in enumerate(_frontier_layers(plan, layout.valid()), start=1):
+    for n, layer in enumerate(_frontier_layers(steps, layout.valid()), start=1):
         if n % 2 == 0:
             goal = layout.goal(n, n - 1)
             if not any(s & goal for s in layer):

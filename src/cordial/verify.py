@@ -291,24 +291,28 @@ def _check_path_landscape() -> str:
     dp_time = time.perf_counter() - t0
     _expect(failing == [10, 22], f"alternating scan returned {failing}")
     _expect(dp_time < 10.0, f"DP route took {dp_time:.1f}s, budget 10s")
-    # The direct scan reads the kernel's (mask, B, H) of every unpinned
-    # friendly labeling, not the DP route it cross-checks.  A balanced
-    # triple summing to m has every count in the window, so only a
-    # labeling whose 0 count m - |B| lies in it needs the full test.
+    # The direct scan joins the kernel's batches of every unpinned
+    # friendly labeling itself, not the DP route it cross-checks.  A
+    # balanced triple summing to m has every count in the window, so only
+    # a labeling whose 0 count m - |B| lies in it needs the full test.
     d22 = alternating_path(22)
     m = len(d22.arcs)
-    window = _window(m)
+    bichromatic = {m - lam for lam in _window(m)}
     t1 = time.perf_counter()
     count = 0
     witness = None
-    for mask, bi, heads in _labelings(22, d22.arcs, pin=False):
-        count += 1
-        k = bi.bit_count()
-        if m - k in window:
-            alpha = (bi & heads).bit_count()
-            if is_balanced_triple((alpha, k - alpha, m - k)):
-                witness = mask
-                break
+    for mh, bh, hh, lows in _labelings(22, d22.arcs, pin=False):
+        count += len(lows)
+        for ml, bl, hl in lows:
+            if (bh ^ bl).bit_count() in bichromatic:
+                bi = bh ^ bl
+                k = bi.bit_count()
+                alpha = (bi & (hh ^ hl)).bit_count()
+                if is_balanced_triple((alpha, k - alpha, m - k)):
+                    witness = mh | ml
+                    break
+        if witness is not None:
+            break
     direct_time = time.perf_counter() - t1
     _expect(witness is None, "direct scan found a cordial labeling at n=22")
     _expect(count == 705432, f"direct scan covered {count} labelings")

@@ -519,7 +519,8 @@ class TestLayout:
     @pytest.mark.parametrize("directed", [True, False])
     def test_layers_fit_the_size_dp_pays_counts(self, monkeypatch, n, directed):
         pairs = banded(n, n, directed)
-        layout, steps = engine._frontier_plan(n, pairs, directed)
+        layout, plan = engine._frontier_plan(n, pairs, directed)
+        steps = engine._frontier_steps(plan, layout)
         layers = list(engine._frontier_layers(steps, layout.valid()))
         assert all(s.bit_length() <= layout.size for layer in layers for s in layer)
         # Odd n reaches ceil(n/2) ones, one row more than n // 2 + 1 holds.
@@ -608,15 +609,116 @@ class TestOneDecision:
 
 
 class TestLabelingTriples:
-    @given(digraphs(max_n=9))
+    @given(digraphs(max_n=9), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_bichromatic_and_head_masks(self, d):
+    def test_bichromatic_and_head_masks(self, d, pin):
         n = d.vertex_count
-        triples = list(engine._labelings(n, d.arcs, pin=False))
-        assert [mask for mask, _, _ in triples] == [lab.mask for lab in friendly_labelings(n)]
+        triples = [
+            (mh | ml, bh ^ bl, hh ^ hl)
+            for mh, bh, hh, lows in engine._labelings(n, d.arcs, pin=pin)
+            for ml, bl, hl in lows
+        ]
+        friendly = [mask for mask in range(1 << n) if is_friendly(VertexLabeling(n, mask))]
+        assert [mask for mask, _, _ in triples] == [
+            mask for mask in friendly if not (pin and mask & 1)
+        ]
         for mask, bi, heads in triples:
             lab = VertexLabeling(n, mask)
             arcs = list(enumerate(d.arcs))
             assert bi == sum(1 << j for j, (t, h) in arcs if lab.label(t) != lab.label(h))
             assert heads == sum(1 << j for j, (_, h) in arcs if lab.label(h))
             assert (bi & heads).bit_count() == gamma_triple(d, lab).alpha
+
+    @given(digraphs(max_n=9), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_invariants(self, d, pin):
+        n = d.vertex_count
+        sizes = {n // 2, (n + 1) // 2}
+        low_half = (1 << (n + 1) // 2) - 1
+        batches = list(engine._labelings(n, d.arcs, pin=pin))
+        highs = [mh for mh, _, _, _ in batches]
+        assert highs == sorted(set(highs))
+        assert not any(mh & low_half for mh in highs)
+        for mh, _, _, lows in batches:
+            masks = [ml for ml, _, _ in lows]
+            assert masks == sorted(set(masks))
+            assert all(ml & ~low_half == 0 for ml in masks)
+            assert all((mh | ml).bit_count() in sizes for ml in masks)
+
+
+def flat_labelings(n, pairs):
+    """The kernel as a flat generator of (mask, B, H), one per friendly
+    labeling in ascending mask order with vertex 0 pinned to 0: the plain
+    join the batches replace."""
+    incident = [0] * n
+    head = [0] * n
+    for j, (t, h) in enumerate(pairs):
+        incident[t] ^= 1 << j
+        incident[h] ^= 1 << j
+        head[h] ^= 1 << j
+
+    def subsets(vertices):
+        flips = [(0, 0, 0)]
+        for v in vertices:
+            mask, b, hh = flips[-1]
+            flips.append((mask | 1 << v, b ^ incident[v], hh ^ head[v]))
+        mask = b = hh = 0
+        for k in range(1 << len(vertices)):
+            if k:
+                fm, fb, fh = flips[(k & -k).bit_length()]
+                mask, b, hh = mask ^ fm, b ^ fb, hh ^ fh
+            yield mask, b, hh
+
+    half = (n + 1) // 2
+    lows = list(subsets(range(1, half)))
+    sizes = {n // 2, (n + 1) // 2}
+    fitting = [
+        [low for low in lows if low[0].bit_count() + k in sizes]
+        for k in range(n - half + 1)
+    ]
+    for mh, bh, hh in subsets(range(half, n)):
+        for ml, bl, hl in fitting[mh.bit_count()]:
+            yield mh | ml, bh ^ bl, hh ^ hl
+
+
+def flat_first_mask(n, pairs, directed):
+    """``_scan_first_mask`` over the flat generator."""
+    m = len(pairs)
+    window = (m // 3, (m + 2) // 3)
+    for mask, bi, heads in flat_labelings(n, pairs):
+        k = bi.bit_count()
+        if m - k in window:
+            if not directed:
+                return mask
+            alpha = (bi & heads).bit_count()
+            if alpha in window and k - alpha in window:
+                return mask
+    return None
+
+
+def assert_scan_is_the_flat_join(n, arcs):
+    assert scan_mask(n, arcs, True) == flat_first_mask(n, arcs, True)
+    edges = make_graph(n, arcs).edges
+    assert scan_mask(n, edges, False) == flat_first_mask(n, edges, False)
+
+
+class TestWitnessIdentity:
+    """The batched kernel's first mask against the flat join it replaced,
+    on inputs too large for the 2^n filter."""
+
+    @given(digraphs(max_n=12))
+    @settings(max_examples=150, deadline=None)
+    def test_drawn_digraphs_and_their_graphs(self, d):
+        assert_scan_is_the_flat_join(d.vertex_count, d.arcs)
+
+    @pytest.mark.parametrize("n", range(2, 23, 2))
+    def test_alternating_paths(self, n):
+        assert_scan_is_the_flat_join(n, alternating_path(n).arcs)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_tight_bound_graphs(self, n):
+        assert_scan_is_the_flat_join(n, tight_bound_graph(n).edges)
+
+    @pytest.mark.parametrize("g", [petersen_graph(), counterexample_tree()])
+    def test_paper_graphs(self, g):
+        assert_scan_is_the_flat_join(g.vertex_count, g.edges)
