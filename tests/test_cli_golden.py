@@ -189,6 +189,30 @@ CASES = [
         '',
     ),
     (
+        # Failures 170 and 341 lie in the third and sixth blocks of 64.
+        ['search', 'path:10'],
+        None,
+        1,
+        (
+            'command: search\n'
+            'input.source: path:10\n'
+            'input.symmetry: none\n'
+            'orientations_scanned: 512\n'
+            'noncordial_count: 2\n'
+            'noncordial: 010101010 101010101\n'
+            'wall_time_seconds: <t>\n'
+            'timing_seconds: <t>\n'
+        ),
+        '',
+    ),
+    (
+        ['search', 'path:40'],
+        None,
+        2,
+        '',
+        'error: 549755813888 orientations to scan, over the 4194304 cap\n',
+    ),
+    (
         ['gen', 'path', '4'],
         None,
         0,
@@ -271,6 +295,26 @@ CASES = [
             'total: 64\n'
             'noncordial_count: 16\n'
             'timing_seconds: <t>\n'
+        ),
+        '',
+    ),
+    (
+        # K6 has no window triple: every block of 64 is counted whole.
+        ['tournaments', '6', '--json'],
+        None,
+        1,
+        (
+            '{\n'
+            '  "command": "tournaments",\n'
+            '  "inputs": {\n'
+            '    "n": 6\n'
+            '  },\n'
+            '  "verdicts": {\n'
+            '    "total": 32768,\n'
+            '    "noncordial_count": 32768\n'
+            '  },\n'
+            '  "timing_seconds": <t>\n'
+            '}\n'
         ),
         '',
     ),

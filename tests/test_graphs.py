@@ -191,6 +191,20 @@ class TestVertexLabeling:
             tracemalloc.stop()
         assert size / len(kept) < 110
 
+    def test_kept_orientations_are_small(self):
+        # Slotted, an orientation over bits that exist already costs its
+        # object and a tuple slot, about 56 bytes (Petersen's 2^14
+        # failures: 0.88 MB); with a __dict__ it was about 96 (1.50 MB).
+        g = petersen_graph()
+        bits = list(range(1 << 14, (1 << 14) + 2000))
+        tracemalloc.start()
+        try:
+            kept = tuple(Orientation(g, b) for b in bits)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert size / len(kept) < 75
+
 
 class TestNamedGraphs:
     def test_petersen_is_cubic_with_15_edges(self):

@@ -185,6 +185,103 @@ class TestWindowCensusAgainstRescan:
         assert survey.noncordial_count == len(_rescan_failures(complete_graph(n)))
 
 
+def _loop_failing_bits(g, step):
+    """Oracle: the plain census, one any() over every window triple for
+    each step-th orientation."""
+    triples = search._window_triples(g)
+    return [
+        bits
+        for bits in range(0, 1 << g.edge_count, step)
+        if not any(((bits ^ p) & b).bit_count() in a for p, b, a in triples)
+    ]
+
+
+@st.composite
+def census_graphs(draw, max_n=9, max_m=18):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.sets(st.sampled_from(pairs), max_size=max_m)) if pairs else set()
+    return Graph(n, tuple(sorted(chosen)))
+
+
+class TestBlockedCensusAgainstLoop:
+    """The blocked bitset census against the per-orientation loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(census_graphs(), st.booleans())
+    def test_random_graphs(self, g, pin_arc):
+        mode = SymmetryMode.FIX_FIRST_ARC if pin_arc else SymmetryMode.NONE
+        step = 2 if pin_arc and g.edge_count else 1
+        rep = noncordial_orientations(g, mode)
+        assert [o.bits for o in rep.noncordial] == _loop_failing_bits(g, step)
+
+    @settings(max_examples=100, deadline=None)
+    @given(census_graphs(max_n=7, max_m=10), st.booleans(), st.integers(1, 3))
+    def test_narrow_blocks(self, g, pin_arc, width):
+        # Widths 1-3 give many blocks, partly filled ones, and m below
+        # the width; m = 0 is one block of one orientation.
+        step = 2 if pin_arc and g.edge_count else 1
+        want = _loop_failing_bits(g, step)
+        assert list(search._failing_bits(g, step, width)) == want
+        blocks = list(search._uncovered_blocks(g, step, width))
+        w = min(width, g.edge_count)
+        bases = [base for base, _ in blocks]
+        assert bases == sorted(set(bases))
+        assert set(bases) <= set(range(0, 1 << g.edge_count, 1 << w))
+        assert all(0 < left < 1 << (1 << w) for _, left in blocks)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 6])
+    @pytest.mark.parametrize(
+        "g",
+        [Graph(1, ()), Graph(3, ()), Graph(2, ((0, 1),)), path_graph(3), path_graph(10)],
+        ids=["K1", "empty3", "K2", "P3", "P10"],
+    )
+    def test_small_and_empty(self, g, width):
+        for step in (1, 2) if g.edge_count else (1,):
+            assert list(search._failing_bits(g, step, width)) == _loop_failing_bits(g, step)
+
+    def test_graph_without_triples_yields_whole_blocks(self):
+        g = petersen_graph()
+        assert search._window_triples(g) == []
+        blocks = list(search._uncovered_blocks(g, 2))
+        assert len(blocks) == 1 << 9
+        assert all(left == int("01" * 32, 2) for _, left in blocks)
+
+    def test_count_sets(self):
+        for plus in range(8):
+            for bi in range(8):
+                plus_in = plus & bi
+                sets = search._count_sets(plus_in, bi, 3)
+                assert len(sets) == bi.bit_count() + 1
+                for lo in range(8):
+                    c = ((lo ^ plus_in) & bi).bit_count()
+                    assert [s >> lo & 1 for s in sets] == [int(i == c) for i in range(len(sets))]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_tournament_popcounts(self, n):
+        assert tournament_survey(n).noncordial_count == len(
+            _loop_failing_bits(complete_graph(n), 1)
+        )
+
+
+class TestCensusCap:
+    def test_oversize_refused_before_the_scan(self, monkeypatch):
+        def no_scan(g):
+            raise AssertionError("window triples built")
+
+        monkeypatch.setattr(search, "_window_triples", no_scan)
+        with pytest.raises(ValueError, match="over the 4194304 cap"):
+            noncordial_orientations(path_graph(24))
+        with pytest.raises(ValueError, match="over the 4194304 cap"):
+            noncordial_orientations(path_graph(40), SymmetryMode.BOTH)
+
+    def test_cap_counts_after_the_arc_pin(self, monkeypatch):
+        # 2^22 orientations of a 23-edge graph once bit 0 is pinned.
+        monkeypatch.setattr(search, "_failing_bits", lambda g, step: iter(()))
+        rep = noncordial_orientations(path_graph(24), SymmetryMode.FIX_FIRST_ARC)
+        assert rep.total_orientations_scanned == 1 << 22
+
+
 class TestPathDp:
     def test_forward_path_has_witness(self):
         d = Digraph(4, ((0, 1), (1, 2), (2, 3)))
