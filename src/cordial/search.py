@@ -5,10 +5,10 @@ census routines (alternating-path scan, tournament survey).
 Orientation enumeration is ascending over the bit-vector integers; arc
 reversal symmetry pins bit 0 to 0 and halves the range, complement
 symmetry pins vertex 0's label to 0 and halves the labeling scan.  The
-orientation census enumerates labelings once per graph, not once per
-orientation, and reduces them to window triples; it then scans blocks
-of 2^6 orientations, each held as one int, OR-ing per block the set of
-orientations each triple certifies until the block is full: see
+orientation census reads labelings once per graph, not once per
+orientation, folding them into tables per high (P, B); it then scans
+blocks of 2^6 orientations, each held as one int, OR-ing per block one
+entry of each table until the block is full: see
 ``noncordial_orientations``.
 
 The path DP is the engine's frontier DP, whose layers on a path keep one
@@ -27,6 +27,7 @@ import enum
 import time
 import weakref
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
 
 from .engine import (
@@ -99,32 +100,9 @@ class SearchReport:
     wall_time: float
 
 
-def _window_triples(graph: Graph) -> list[tuple[int, int, frozenset[int]]]:
-    """Distinct (P, B, allowed alphas) of the friendly labelings, vertex 0
-    pinned to 0, that can certify some orientation.
-
-    A triple summing to m is balanced exactly when each count lies in the
-    window {floor(m/3), ceil(m/3)}.  B marks the bichromatic edges, so
-    lambda = m - |B| must be in it; P marks those whose u -> v arc is +1,
-    so orientation o gets alpha = popcount((o ^ P) & B).
-    """
-    m = graph.edge_count
-    window = _window(m)
-    bichromatic = {m - lam for lam in window}
-    pairs = set()
-    for _, bh, hh, lows in _labelings(graph.vertex_count, graph.edges):
-        for _, bl, hl in lows:
-            if (bh ^ bl).bit_count() in bichromatic:
-                bi = bh ^ bl
-                pairs.add((bi & (hh ^ hl), bi))
-    return [
-        (plus, bi, frozenset(a for a in window if bi.bit_count() - a in window))
-        for plus, bi in pairs
-    ]
-
-
 _BLOCK_BITS = 6
 _MAX_ORIENTATIONS = 1 << 22
+_MAX_LABELINGS = 1 << 24
 
 
 def _count_sets(plus: int, bi: int, width: int) -> list[int]:
@@ -152,15 +130,18 @@ def _uncovered_blocks(
 ) -> Iterator[tuple[int, int]]:
     """(base, mask) per block of 2^w orientations, w = min(width, m), that
     keeps a failure, in ascending base: bit i of mask is set when
-    orientation base + i is a step-th one that no window triple certifies.
+    orientation base + i is a step-th one that no labeling certifies.
 
-    A triple's alpha splits at edge bit w into a high count, fixed by
-    the block, and a low count, so per block it certifies the low set
-    that ``_count_sets`` gives for the allowed low counts.  Triples
-    sharing their high (P, B) share that count, so their low sets are
-    OR-ed into one table indexed by it, built once per call.  A block
-    ORs one table entry per high (P, B) and stops once it is full; a
-    graph without triples yields every block whole.
+    A labeling's B marks its bichromatic edges and P those whose u -> v
+    arc is +1, so orientation o gets alpha = popcount((o ^ P) & B),
+    beta = |B| - alpha and lambda = m - |B|, all three in ``_window(m)``
+    when balanced: the allowed alphas depend on |B| alone.  Each distinct
+    (P, B) of the friendly labelings, vertex 0 pinned to 0, is folded in
+    as it is read: alpha splits at edge bit w into a high count, fixed by
+    the block, and a low count, so per high count the pair certifies the
+    low set that ``_count_sets`` gives, OR-ed into the table of its high
+    (P, B).  A block ORs one entry per table and stops once it is full; a
+    graph whose labelings all miss the window yields every block whole.
     """
     m = graph.edge_count
     w = min(width, m)
@@ -168,19 +149,28 @@ def _uncovered_blocks(
     # With the arc pinned, odd orientations start out covered.
     skip = sum(1 << i for i in range(1, 1 << w, 2)) if step == 2 else 0
     low = (1 << w) - 1
+    window = _window(m)
+    allowed = {m - lam: [a for a in window if m - lam - a in window] for lam in window}
+    seen: set[tuple[int, int]] = set()
     counts: dict[tuple[int, int], list[int]] = {}
     tables: dict[tuple[int, int], list[int]] = {}
-    for plus, bi, allowed in _window_triples(graph):
-        key = (plus & low, bi & low)
-        if key not in counts:
-            counts[key] = _count_sets(*key, w)
-        sets = counts[key]
-        high = bi >> w
-        table = tables.setdefault((plus >> w, high), [0] * (high.bit_count() + 1))
-        for h in range(len(table)):
-            for a in allowed:
-                if 0 <= a - h < len(sets):
-                    table[h] |= sets[a - h]
+    for _, bh, hh, lows in _labelings(graph.vertex_count, graph.edges):
+        for _, bl, hl in lows:
+            bi = bh ^ bl
+            if bi.bit_count() not in allowed or (bi & (hh ^ hl), bi) in seen:
+                continue
+            plus = bi & (hh ^ hl)
+            seen.add((plus, bi))
+            key = (plus & low, bi & low)
+            if key not in counts:
+                counts[key] = _count_sets(*key, w)
+            sets = counts[key]
+            high = bi >> w
+            table = tables.setdefault((plus >> w, high), [0] * (high.bit_count() + 1))
+            for a in allowed[bi.bit_count()]:
+                for h in range(len(table)):
+                    if 0 <= a - h < len(sets):
+                        table[h] |= sets[a - h]
     rows = [(p, b, table) for (p, b), table in tables.items()]
     for hi in range(1 << (m - w)):
         covered = skip
@@ -193,7 +183,7 @@ def _uncovered_blocks(
 
 
 def _failing_bits(graph: Graph, step: int, width: int = _BLOCK_BITS) -> Iterator[int]:
-    """Every step-th orientation, ascending, that no window triple certifies."""
+    """Every step-th orientation, ascending, that no labeling certifies."""
     for base, left in _uncovered_blocks(graph, step, width):
         while left:
             bit = left & -left
@@ -213,22 +203,23 @@ def noncordial_orientations(
 
     Every orientation's 0-arc count is the labeling's monochromatic count
     lambda, so only labelings with lambda in {floor(m/3), ceil(m/3)} can
-    certify any orientation; they are reduced once per graph to
-    ``_window_triples``, and a graph without triples fails everywhere.
+    certify any orientation, and a graph without them fails everywhere.
     Pinning vertex 0's label is exact: a labeling and its complement
     share B and lambda, and complementing maps alpha to |B| - alpha,
     under which the allowed set is closed.  So only the arc pin changes
-    the result.  The orientations are scanned in blocks of 2^6 by
-    ``_uncovered_blocks``: one OR per high (P, B) certifies up to 64 of
-    them at once, and a block stops at the first OR that fills it.
-    Failures are ascending; ``jobs`` is accepted and ignored.
+    the result.  ``_uncovered_blocks`` reads the labelings once and scans
+    the orientations in blocks of 2^6: one OR per high (P, B) certifies
+    up to 64 of them at once, and a block stops at the first OR that
+    fills it.  Failures are ascending; ``jobs`` is accepted and ignored.
 
     More than 2^22 orientations after the arc pin is refused with
-    ValueError before any scan.  At the cap, ``path_graph(23)`` takes
-    2.1-2.4 s, and its 203,940 window triples hold about 70 MB
-    (tracemalloc; Python 3.11, 2 vCPUs); a report in which every
-    orientation fails would keep about 230 MB of orientations (0.88 MB
-    per 2^14, extrapolated).
+    ValueError before any scan; so, next, is n >= 28, where the pinned
+    labelings of one friendly size, C(n - 1, floor(n/2)), pass 2^24 (a
+    2-edge graph takes 2.9 s at n = 27, 3.1 s at n = 28).  At the
+    orientation cap, ``path_graph(23)`` takes 0.9-1.7 s and peaks at
+    53 MB, mostly its 203,940 distinct (P, B) (tracemalloc; Python 3.11,
+    2 vCPUs); a report in which every orientation fails would keep about
+    230 MB of orientations (0.88 MB per 2^14, extrapolated).
     """
     m = graph.edge_count
     t0 = time.perf_counter()
@@ -238,9 +229,15 @@ def noncordial_orientations(
         raise ValueError(
             f"{total} orientations to scan, over the {_MAX_ORIENTATIONS} cap"
         )
+    n = graph.vertex_count
+    if comb(n - 1, n // 2) > _MAX_LABELINGS:
+        raise ValueError(
+            f"C({n - 1}, {n // 2}) labelings to scan, over the {_MAX_LABELINGS} cap"
+        )
     noncordial = tuple(Orientation(graph, bits) for bits in _failing_bits(graph, step))
-    # Equal censuses share one failure tuple while a report holding it is
-    # alive, so kept repeats hold one copy (Petersen lists 2^14, 0.88 MB).
+    # Equal censuses share the failure tuple of the first live report that
+    # holds it, so kept repeats hold one copy (Petersen lists 2^14, 0.88 MB)
+    # also when a repeat in between is dropped at once.
     last = _live_reports.get((graph, step))
     if last is not None and last.noncordial == noncordial:
         noncordial = last.noncordial
@@ -250,7 +247,8 @@ def noncordial_orientations(
         symmetry_mode=symmetry,
         wall_time=time.perf_counter() - t0,
     )
-    _live_reports[(graph, step)] = report
+    if last is None or last.noncordial is not noncordial:
+        _live_reports[(graph, step)] = report
     return report
 
 
@@ -326,8 +324,8 @@ def tournament_survey(n: int) -> TournamentSurvey:
 
     Guarded to 1 <= n <= 6; the census size is 2^C(n,2).  The count is
     the sum of the popcounts of the census's uncovered blocks, so no
-    orientation is listed; K6 has no window triple, so each of its
-    blocks is counted whole.
+    orientation is listed; no labeling of K6 reaches the window, so each
+    of its blocks is counted whole.
     """
     if not 1 <= n <= 6:
         raise ValueError("tournament survey supports 1 <= n <= 6")

@@ -182,6 +182,16 @@ class TestSearch:
         code, _, _ = invoke(["search", "path:6", "--jobs", "2"])
         assert code == 2
 
+    def test_many_vertices_few_edges_refused_at_once(self, tmp_path):
+        # 4 orientations, but C(39, 20) labelings to scan.
+        sparse = tmp_path / "sparse40.txt"
+        sparse.write_text("40 2\n0 1\n1 2\n")
+        t0 = time.perf_counter()
+        code, _, err = invoke(["search", str(sparse)])
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 2
+        assert "labelings to scan, over the 16777216 cap" in err
+
 
 class TestScanAndSurveys:
     def test_scan_alternating(self):

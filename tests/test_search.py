@@ -128,6 +128,13 @@ class TestNoncordialOrientations:
         assert arc.noncordial is both.noncordial
         assert len(full.noncordial) == 2 * len(both.noncordial) == 1 << 15
 
+    def test_sharing_survives_a_dropped_repeat(self):
+        g = petersen_graph()
+        kept = noncordial_orientations(g, SymmetryMode.BOTH)
+        noncordial_orientations(g, SymmetryMode.BOTH)  # dropped at once
+        third = noncordial_orientations(g, SymmetryMode.BOTH)
+        assert third.noncordial is kept.noncordial
+
     def test_jobs_argument_deterministic(self):
         g = path_graph(13)
         a = noncordial_orientations(g, SymmetryMode.FIX_FIRST_ARC, jobs=1)
@@ -185,13 +192,33 @@ class TestWindowCensusAgainstRescan:
         assert survey.noncordial_count == len(_rescan_failures(complete_graph(n)))
 
 
+def _friendly_masks(n):
+    return [mask for mask in range(1 << n) if mask.bit_count() in {n // 2, (n + 1) // 2}]
+
+
 def _loop_failing_bits(g, step):
-    """Oracle: the plain census, one any() over every window triple for
-    each step-th orientation."""
-    triples = search._window_triples(g)
+    """Oracle: the plain census.  Every friendly mask, unpinned, gives B
+    (the edges whose ends differ) and P (those of B whose second end is
+    labeled 1), and its allowed alphas are those that make (alpha,
+    |B| - alpha, m - |B|) pairwise within one; then one any() over the
+    (P, B, allowed) for each step-th orientation."""
+    m = g.edge_count
+    triples = set()
+    for mask in _friendly_masks(g.vertex_count):
+        bi = plus = 0
+        for j, (u, v) in enumerate(g.edges):
+            if mask >> u & 1 != mask >> v & 1:
+                bi |= 1 << j
+                plus |= (mask >> v & 1) << j
+        c = bi.bit_count()
+        allowed = frozenset(
+            a for a in range(c + 1) if max(a, c - a, m - c) - min(a, c - a, m - c) <= 1
+        )
+        if allowed:
+            triples.add((plus, bi, allowed))
     return [
         bits
-        for bits in range(0, 1 << g.edge_count, step)
+        for bits in range(0, 1 << m, step)
         if not any(((bits ^ p) & b).bit_count() in a for p, b, a in triples)
     ]
 
@@ -241,8 +268,13 @@ class TestBlockedCensusAgainstLoop:
             assert list(search._failing_bits(g, step, width)) == _loop_failing_bits(g, step)
 
     def test_graph_without_triples_yields_whole_blocks(self):
+        # No friendly labeling of Petersen has lambda = 5, the only count
+        # in its window (m = 15).
         g = petersen_graph()
-        assert search._window_triples(g) == []
+        assert all(
+            sum(mask >> u & 1 == mask >> v & 1 for u, v in g.edges) != 5
+            for mask in _friendly_masks(10)
+        )
         blocks = list(search._uncovered_blocks(g, 2))
         assert len(blocks) == 1 << 9
         assert all(left == int("01" * 32, 2) for _, left in blocks)
@@ -266,20 +298,47 @@ class TestBlockedCensusAgainstLoop:
 
 class TestCensusCap:
     def test_oversize_refused_before_the_scan(self, monkeypatch):
-        def no_scan(g):
-            raise AssertionError("window triples built")
+        def no_scan(*args, **kwargs):
+            raise AssertionError("labelings scanned")
 
-        monkeypatch.setattr(search, "_window_triples", no_scan)
+        monkeypatch.setattr(search, "_labelings", no_scan)
         with pytest.raises(ValueError, match="over the 4194304 cap"):
             noncordial_orientations(path_graph(24))
         with pytest.raises(ValueError, match="over the 4194304 cap"):
             noncordial_orientations(path_graph(40), SymmetryMode.BOTH)
+        # 4 orientations, but C(39, 20) labelings; C(27, 14) is the first
+        # to pass 2^24.
+        refusal = r"C\(39, 20\) labelings to scan, over the 16777216 cap"
+        with pytest.raises(ValueError, match=refusal):
+            noncordial_orientations(Graph(40, ((0, 1), (1, 2))))
+        with pytest.raises(ValueError, match=r"C\(27, 14\) labelings"):
+            noncordial_orientations(Graph(28, ()))
+
+    def test_largest_admitted_labeling_scan(self, monkeypatch):
+        # C(26, 13) is under 2^24, so n = 27 is scanned.
+        monkeypatch.setattr(search, "_failing_bits", lambda g, step: iter(()))
+        rep = noncordial_orientations(Graph(27, ((0, 1), (1, 2))))
+        assert rep.total_orientations_scanned == 4
 
     def test_cap_counts_after_the_arc_pin(self, monkeypatch):
         # 2^22 orientations of a 23-edge graph once bit 0 is pinned.
         monkeypatch.setattr(search, "_failing_bits", lambda g, step: iter(()))
         rep = noncordial_orientations(path_graph(24), SymmetryMode.FIX_FIRST_ARC)
         assert rep.total_orientations_scanned == 1 << 22
+
+
+class TestCensusMemory:
+    def test_p18_peak(self):
+        # About 1.2-1.3 MB with each distinct (P, B) folded in as it is read;
+        # 2.0-2.2 MB with a triple list copied from the pair set.
+        g = path_graph(18)
+        tracemalloc.start()
+        try:
+            noncordial_orientations(g, SymmetryMode.BOTH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.7 * 1024 * 1024
 
 
 class TestPathDp:
