@@ -7,7 +7,9 @@ of +1, -1 and 0 arc labels pairwise differ by at most one.  An undirected
 graph is (2,3)-orientable when some orientation is (2,3)-cordial, which
 holds exactly when some friendly labeling leaves the monochromatic edge
 count inside the window {floor(m/3), ceil(m/3)}; the witness orientation
-is then constructed directly.
+is then constructed directly.  Every scan reads the window from one
+table, ``_balanced(m)``: the in-window bichromatic counts, each with the
++1 counts that make the triple balanced.
 
 Labeling scans are halved by complement symmetry: flipping every vertex
 label swaps the +1 and -1 arc counts, so vertex 0 can be pinned to label
@@ -29,8 +31,8 @@ of their work read off the DP's own plan:
   subsets of fitting size to its reader as one batch.  The reader joins
   them inline: one XOR and one popcount per labeling (lambda from
   B = bh ^ bl), the heads mask H = hh ^ hl only inside the window, where
-  a directed scan forms P = B & H, and the mask mh | ml only for a
-  labeling it keeps; there is no per-edge loop.  Only the low list is
+  a directed scan looks |P| up for P = B & H, and the mask mh | ml only
+  for a labeling it keeps; there is no per-edge loop.  Only the low list is
   stored: 2^(ceil(n/2) - 1) tuples with vertex 0 pinned, 0.16 MB at
   n = 22 and 22 MB at n = 36 (tracemalloc).  Every other labeling scan
   reads it too.
@@ -223,8 +225,8 @@ def _first_mask(
     Certificates come first: more pairs than ``max_edges(n)`` leave no
     friendly labeling a balanced triple, so no search starts.  The
     frontier DP costs about n * (n/2) * 2^w for frontier width w (bitsets
-    of n/2 ones rows, 2^w patterns per vertex) and the kernel reads about
-    C(n - 1, floor(n/2)) labelings, the budget once divided by
+    of n/2 ones rows, 2^w patterns per vertex) and the kernel reads up to
+    ``_pinned_labelings(n)`` labelings, the budget once divided by
     ``_LABELINGS_PER_DP_UNIT``.  An input whose DP would reach the budget
     even at w = 0 stays on the kernel without a plan.  Every other one
     reads the widths of ``_frontier_plan`` until one reaches the
@@ -237,7 +239,7 @@ def _first_mask(
         return _scan_first_mask(n, pairs, directed)
     if len(pairs) > max_edges(n):
         return None
-    budget = comb(n - 1, n // 2) // _LABELINGS_PER_DP_UNIT
+    budget = _pinned_labelings(n) // _LABELINGS_PER_DP_UNIT
     unit = n * (n // 2)
     if unit < budget:
         layout, plan = _frontier_plan(n, pairs, directed)
@@ -252,10 +254,23 @@ def _first_mask(
     return _scan_first_mask(n, pairs, directed)
 
 
-def _window(m: int) -> set[int]:
-    """The balanced window {floor(m/3), ceil(m/3)}: three counts summing to
-    m are pairwise within one exactly when each lies in it."""
-    return {m // 3, (m + 2) // 3}
+def _pinned_labelings(n: int) -> int:
+    """The friendly labelings of n vertices with vertex 0 labeled 0, over
+    both friendly sizes: as many as ``_labelings(n, pairs)`` yields.  The
+    empty graph has one, the empty labeling."""
+    if n == 0:
+        return 1
+    return sum(comb(n - 1, k) for k in {n // 2, (n + 1) // 2})
+
+
+def _balanced(m: int) -> dict[int, set[int]]:
+    """The balanced triples summing to m, by bichromatic count: each
+    k = m - lambda with lambda in the window {floor(m/3), ceil(m/3)} maps
+    to the +1 counts alpha for which (alpha, k - alpha, lambda) is
+    balanced.  Three counts summing to m are pairwise within one exactly
+    when each lies in the window."""
+    window = {m // 3, (m + 2) // 3}
+    return {m - lam: {a for a in window if m - lam - a in window} for lam in window}
 
 
 def _scan_first_mask(
@@ -265,21 +280,18 @@ def _scan_first_mask(
     that passes the window test, read from the kernel.
 
     Every decider needs lambda = m - |B| in the window, so it is tested
-    first, as |B| in ``bichromatic``.  Directed: alpha = |P| and
-    beta = |B| - |P| must lie in it too.  Undirected: lambda alone, since
+    first, as |B| among the keys of ``_balanced(m)``.  Directed: alpha =
+    |P| must lie in the entry of |B| too.  Undirected: lambda alone, since
     ``construct_witness_orientation`` splits the bichromatic pairs evenly.
     """
-    m = len(pairs)
-    window = _window(m)
-    bichromatic = {m - lam for lam in window}
+    balanced = _balanced(len(pairs))
     for mh, bh, hh, lows in _labelings(n, pairs):
         for ml, bl, hl in lows:
-            if (bh ^ bl).bit_count() in bichromatic:
+            if (bh ^ bl).bit_count() in balanced:
                 if not directed:
                     return mh | ml
                 bi = bh ^ bl
-                alpha = (bi & (hh ^ hl)).bit_count()
-                if alpha in window and bi.bit_count() - alpha in window:
+                if (bi & (hh ^ hl)).bit_count() in balanced[bi.bit_count()]:
                     return mh | ml
     return None
 
@@ -321,7 +333,7 @@ def construct_witness_orientation(
         raise ValueError("labeling is not friendly")
     m = graph.edge_count
     lam = lambda_count(graph, labeling)
-    if lam not in _window(m):
+    if m - lam not in _balanced(m):
         raise ValueError(
             f"monochromatic count {lam} outside the balanced window for m={m}"
         )
@@ -403,13 +415,13 @@ class _Layout(NamedTuple):
 
     def goal(self, n: int, m: int) -> int:
         """The bits of the friendly, balanced states of n vertices and m pairs."""
-        w = _window(m)
+        balanced = _balanced(m)
         if self.directed:
             counts = sum(
-                1 << (a * self.width + b) for a in w for b in w if m - a - b in w
+                1 << (a * self.width + k - a) for k in balanced for a in balanced[k]
             )
         else:
-            counts = sum(1 << lam for lam in w)
+            counts = sum(1 << (m - k) for k in balanced)
         return sum(counts << (ones * self.one) for ones in {n // 2, (n + 1) // 2})
 
 

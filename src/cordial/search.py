@@ -26,19 +26,19 @@ from __future__ import annotations
 import enum
 import time
 import weakref
-from dataclasses import dataclass
-from math import comb
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .engine import (
     _DP_MAX_BITS,
+    _balanced,
     _frontier_first_mask,
     _frontier_layers,
     _frontier_plan,
     _frontier_steps,
     _labelings,
     _layout,
-    _window,
+    _pinned_labelings,
 )
 from .graphs import (
     Digraph,
@@ -97,7 +97,7 @@ class SearchReport:
     total_orientations_scanned: int
     noncordial: tuple[Orientation, ...]
     symmetry_mode: SymmetryMode
-    wall_time: float
+    wall_time: float = field(compare=False)
 
 
 _BLOCK_BITS = 6
@@ -134,12 +134,12 @@ def _uncovered_blocks(
 
     A labeling's B marks its bichromatic edges and P those whose u -> v
     arc is +1, so orientation o gets alpha = popcount((o ^ P) & B),
-    beta = |B| - alpha and lambda = m - |B|, all three in ``_window(m)``
-    when balanced: the allowed alphas depend on |B| alone.  Each distinct
-    (P, B) of the friendly labelings, vertex 0 pinned to 0, is folded in
-    as it is read: alpha splits at edge bit w into a high count, fixed by
-    the block, and a low count, so per high count the pair certifies the
-    low set that ``_count_sets`` gives, OR-ed into the table of its high
+    beta = |B| - alpha and lambda = m - |B|, so the allowed alphas depend
+    on |B| alone: ``_balanced(m)`` lists them.  Each distinct (P, B) of
+    the friendly labelings, vertex 0 pinned to 0, is folded in as it is
+    read: alpha splits at edge bit w into a high count, fixed by the
+    block, and a low count, so per high count the pair certifies the low
+    set that ``_count_sets`` gives, OR-ed into the table of its high
     (P, B).  A block ORs one entry per table and stops once it is full; a
     graph whose labelings all miss the window yields every block whole.
     """
@@ -149,8 +149,7 @@ def _uncovered_blocks(
     # With the arc pinned, odd orientations start out covered.
     skip = sum(1 << i for i in range(1, 1 << w, 2)) if step == 2 else 0
     low = (1 << w) - 1
-    window = _window(m)
-    allowed = {m - lam: [a for a in window if m - lam - a in window] for lam in window}
+    allowed = _balanced(m)
     seen: set[tuple[int, int]] = set()
     counts: dict[tuple[int, int], list[int]] = {}
     tables: dict[tuple[int, int], list[int]] = {}
@@ -213,13 +212,13 @@ def noncordial_orientations(
     fills it.  Failures are ascending; ``jobs`` is accepted and ignored.
 
     More than 2^22 orientations after the arc pin is refused with
-    ValueError before any scan; so, next, is n >= 28, where the pinned
-    labelings of one friendly size, C(n - 1, floor(n/2)), pass 2^24 (a
-    2-edge graph takes 2.9 s at n = 27, 3.1 s at n = 28).  At the
-    orientation cap, ``path_graph(23)`` takes 0.9-1.7 s and peaks at
-    53 MB, mostly its 203,940 distinct (P, B) (tracemalloc; Python 3.11,
-    2 vCPUs); a report in which every orientation fails would keep about
-    230 MB of orientations (0.88 MB per 2^14, extrapolated).
+    ValueError before any scan; so, next, is n >= 27, where the pinned
+    labelings of both friendly sizes, ``_pinned_labelings(n)``, pass
+    2^24.  At the orientation cap, ``path_graph(23)`` takes 0.9-1.7 s
+    and peaks at 53 MB, mostly its 203,940 distinct (P, B) (tracemalloc;
+    Python 3.11, 2 vCPUs); a report in which every orientation fails
+    would keep about 230 MB of orientations (0.88 MB per 2^14,
+    extrapolated).
     """
     m = graph.edge_count
     t0 = time.perf_counter()
@@ -229,10 +228,10 @@ def noncordial_orientations(
         raise ValueError(
             f"{total} orientations to scan, over the {_MAX_ORIENTATIONS} cap"
         )
-    n = graph.vertex_count
-    if comb(n - 1, n // 2) > _MAX_LABELINGS:
+    labelings = _pinned_labelings(graph.vertex_count)
+    if labelings > _MAX_LABELINGS:
         raise ValueError(
-            f"C({n - 1}, {n // 2}) labelings to scan, over the {_MAX_LABELINGS} cap"
+            f"{labelings} labelings to scan, over the {_MAX_LABELINGS} cap"
         )
     noncordial = tuple(Orientation(graph, bits) for bits in _failing_bits(graph, step))
     # Equal censuses share the failure tuple of the first live report that

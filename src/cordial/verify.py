@@ -18,9 +18,9 @@ from typing import Callable
 from .bounds import complete_graph_zero_excess, max_edges, verify_bound, z_value
 from .engine import (
     OrientabilityWitness,
+    _balanced,
     _labelings,
     _scan_first_mask,
-    _window,
     gamma_triple,
     is_balanced_triple,
     is_cordial,
@@ -294,10 +294,10 @@ def _check_path_landscape() -> str:
     # The direct scan joins the kernel's batches of every unpinned
     # friendly labeling itself, not the DP route it cross-checks.  A
     # balanced triple summing to m has every count in the window, so only
-    # a labeling whose 0 count m - |B| lies in it needs the full test.
+    # a labeling whose |B| is a key of ``_balanced(m)`` needs the full test.
     d22 = alternating_path(22)
     m = len(d22.arcs)
-    bichromatic = {m - lam for lam in _window(m)}
+    bichromatic = _balanced(m)
     t1 = time.perf_counter()
     count = 0
     witness = None
@@ -324,16 +324,16 @@ def _check_path_landscape() -> str:
 
 
 def _check_window_missed(graph: Graph, what: str, m: int) -> str:
-    """The graph has m edges, and no friendly labeling reaches the window
-    value m / 3 (m is a multiple of 3)."""
+    """The graph has m edges, and no friendly labeling's monochromatic
+    count reaches the balanced window."""
     _expect(graph.edge_count == m, f"{what} should have {m} edges")
-    lam = m // 3
+    window = {m - k for k in _balanced(m)}
     count = 0
     for lab in friendly_labelings(graph.vertex_count):
         count += 1
         _expect(
-            lambda_count(graph, lab) != lam,
-            f"labeling {lab.bit_string()} reaches {lam} monochromatic edges",
+            lambda_count(graph, lab) not in window,
+            f"labeling {lab.bit_string()} reaches the window {sorted(window)}",
         )
     _expect(count == 252, f"scanned {count} labelings, expected 252")
     _expect(is_orientable(graph) is None, f"{what} reported orientable")

@@ -192,6 +192,15 @@ class TestSearch:
         assert code == 2
         assert "labelings to scan, over the 16777216 cap" in err
 
+    def test_empty_graph_census(self, tmp_path):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("0 0\n")
+        code, out, err = invoke(["search", str(empty), "--json"])
+        assert (code, err) == (0, "")
+        verdicts = json.loads(out)["verdicts"]
+        assert verdicts["orientations_scanned"] == 1
+        assert verdicts["noncordial"] == []
+
 
 class TestScanAndSurveys:
     def test_scan_alternating(self):

@@ -87,6 +87,22 @@ class TestPredicates:
         assert is_balanced_triple(GammaTriple(0, 0, 0))
 
 
+class TestScanTables:
+    @pytest.mark.parametrize("m", range(91))
+    def test_balanced_is_the_triple_filter(self, m):
+        expected = {}
+        for alpha in range(m + 1):
+            for beta in range(m + 1 - alpha):
+                if is_balanced_triple((alpha, beta, m - alpha - beta)):
+                    expected.setdefault(alpha + beta, set()).add(alpha)
+        assert engine._balanced(m) == expected
+
+    @pytest.mark.parametrize("n", range(19))
+    def test_pinned_labelings_counts_what_the_kernel_yields(self, n):
+        yielded = sum(len(lows) for *_, lows in engine._labelings(n, ()))
+        assert engine._pinned_labelings(n) == yielded
+
+
 class TestIsCordial:
     def test_single_arc(self):
         report = is_cordial(Digraph(2, ((0, 1),)))
@@ -558,7 +574,8 @@ def dp_pays(n, pairs, directed):
         last[h] = max(last[h], t)
         links[max(t, h)] += 1
     widths = [sum(last[v] > i for v in range(i + 1)) for i in range(n)]
-    budget = comb(n - 1, n // 2) // engine._LABELINGS_PER_DP_UNIT
+    labelings = sum(comb(n - 1, k) for k in {n // 2, (n + 1) // 2})
+    budget = labelings // engine._LABELINGS_PER_DP_UNIT
     size = engine._layout(n, len(pairs), max(links), directed).size
     return (
         all(n * (n // 2) << w < budget for w in widths)

@@ -95,6 +95,11 @@ class TestNoncordialOrientations:
         rep = noncordial_orientations(path_graph(6))
         assert rep.noncordial == ()
 
+    @pytest.mark.parametrize("mode", list(SymmetryMode))
+    def test_reports_of_one_census_are_equal(self, mode):
+        g = petersen_graph()
+        assert noncordial_orientations(g, mode) == noncordial_orientations(g, mode)
+
     def test_fixed_arc_is_even_subset_of_full(self):
         g = path_graph(4)
         full = [o.bits for o in noncordial_orientations(g).noncordial]
@@ -306,19 +311,27 @@ class TestCensusCap:
             noncordial_orientations(path_graph(24))
         with pytest.raises(ValueError, match="over the 4194304 cap"):
             noncordial_orientations(path_graph(40), SymmetryMode.BOTH)
-        # 4 orientations, but C(39, 20) labelings; C(27, 14) is the first
-        # to pass 2^24.
-        refusal = r"C\(39, 20\) labelings to scan, over the 16777216 cap"
+        # 4 orientations, but C(39, 20) pinned labelings; n = 27, with
+        # C(26, 13) + C(26, 14) = C(27, 13) over both friendly sizes, is
+        # the first to pass 2^24.
+        refusal = r"68923264410 labelings to scan, over the 16777216 cap"
         with pytest.raises(ValueError, match=refusal):
             noncordial_orientations(Graph(40, ((0, 1), (1, 2))))
-        with pytest.raises(ValueError, match=r"C\(27, 14\) labelings"):
+        with pytest.raises(ValueError, match=r"20058300 labelings"):
+            noncordial_orientations(Graph(27, ((0, 1), (1, 2))))
+        with pytest.raises(ValueError, match=r"20058300 labelings"):
             noncordial_orientations(Graph(28, ()))
 
     def test_largest_admitted_labeling_scan(self, monkeypatch):
-        # C(26, 13) is under 2^24, so n = 27 is scanned.
+        # C(25, 13) is under 2^24, so n = 26 is scanned.
         monkeypatch.setattr(search, "_failing_bits", lambda g, step: iter(()))
-        rep = noncordial_orientations(Graph(27, ((0, 1), (1, 2))))
+        rep = noncordial_orientations(Graph(26, ((0, 1), (1, 2))))
         assert rep.total_orientations_scanned == 4
+
+    def test_empty_graph_has_one_orientation(self):
+        rep = noncordial_orientations(Graph(0))
+        assert rep.total_orientations_scanned == 1
+        assert rep.noncordial == ()
 
     def test_cap_counts_after_the_arc_pin(self, monkeypatch):
         # 2^22 orientations of a 23-edge graph once bit 0 is pinned.
