@@ -144,11 +144,11 @@ def _cmd_search(args):
     inputs = {"source": args.source, "symmetry": mode.value}
     verdicts = {
         "orientations_scanned": rep.total_orientations_scanned,
-        "noncordial_count": len(rep.noncordial),
+        "noncordial_count": rep.failing.bit_count(),
         "noncordial": [o.bit_string() for o in rep.noncordial],
         "wall_time_seconds": round(rep.wall_time, 6),
     }
-    return (0 if not rep.noncordial else 1), inputs, verdicts, None
+    return (1 if rep.failing else 0), inputs, verdicts, None
 
 
 def _cmd_gen(args):

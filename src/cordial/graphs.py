@@ -123,9 +123,9 @@ class Orientation:
 
     Bit j clear means edge j = (u, v) becomes the arc u -> v (recall
     u < v); bit j set means v -> u.  Displayed bit strings put edge
-    index 0 leftmost.  Slotted: a census report can keep 2^22 of them,
-    and Petersen's 2^14 failures take 0.88 MB instead of 1.50 MB
-    (tracemalloc).
+    index 0 leftmost.  Slotted: one read of a census report's failures
+    can build 2^22 of them, and Petersen's 2^14 take 0.88 MB instead of
+    1.50 MB (tracemalloc).
     """
 
     graph: Graph

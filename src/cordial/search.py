@@ -9,7 +9,8 @@ orientation census reads labelings once per graph, not once per
 orientation, folding them into tables per high (P, B); it then scans
 blocks of 2^6 orientations, each held as one int, OR-ing per block one
 entry of each table until the block is full: see
-``noncordial_orientations``.
+``noncordial_orientations``.  A report keeps its failures as one int and
+builds ``Orientation`` objects only when they are read.
 
 The path DP is the engine's frontier DP, whose layers on a path keep one
 bitset per label of the last vertex over the reachable (ones used, +1
@@ -26,8 +27,8 @@ from __future__ import annotations
 import enum
 import time
 import weakref
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import InitVar, dataclass, field
+from typing import Iterable, Iterator
 
 from .engine import (
     _DP_MAX_BITS,
@@ -92,12 +93,52 @@ def orientations(graph: Graph, fix_first_arc: bool = False) -> Iterator[Orientat
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Result of a non-cordial-orientation hunt over one graph."""
+    """Result of a non-cordial-orientation hunt over one graph.
 
+    ``failing`` holds the census's failures as one int: bit b is set when
+    orientation b of ``graph`` has no cordial labeling.  It is left out of
+    the repr, which past 2^14 orientations would pass Python's 4,300-digit
+    limit for int-to-str conversion.  Equality compares the graph, the
+    count scanned, the failures and the mode, not ``wall_time``.
+
+    ``noncordial`` is a read-only property that builds the failures as an
+    ascending tuple of ``Orientation`` on each read; it is not cached, so
+    a kept report holds only its int.  Passing ``noncordial`` to the
+    constructor, as ``dataclasses.replace(report, noncordial=...)`` does,
+    sets ``failing`` from the orientations' bits instead.
+    """
+
+    graph: Graph
     total_orientations_scanned: int
-    noncordial: tuple[Orientation, ...]
+    failing: int = field(repr=False)
     symmetry_mode: SymmetryMode
     wall_time: float = field(compare=False)
+    noncordial: InitVar[tuple[Orientation, ...] | None] = None
+
+    def __post_init__(self, noncordial: tuple[Orientation, ...] | None) -> None:
+        if noncordial is not None:
+            blocks = ((o.bits, 1) for o in noncordial)
+            object.__setattr__(self, "failing", _pack(self.graph.edge_count, blocks))
+
+
+def _orientations_of(report: SearchReport) -> tuple[Orientation, ...]:
+    """The failing orientations, ascending, read one 64-bit word at a time:
+    peeling the lowest bit off the whole int would copy it once per bit."""
+    failing = report.failing
+    data = failing.to_bytes(-(-failing.bit_length() // 64) * 8, "little")
+    found = []
+    for base in range(0, 8 * len(data), 64):
+        word = int.from_bytes(data[base >> 3 : (base >> 3) + 8], "little")
+        while word:
+            bit = word & -word
+            found.append(Orientation(report.graph, base + bit.bit_length() - 1))
+            word ^= bit
+    return tuple(found)
+
+
+# Set after the class, so that the dataclass keeps None, not the property,
+# as the default of the ``noncordial`` init argument.
+SearchReport.noncordial = property(_orientations_of)  # type: ignore[assignment]
 
 
 _BLOCK_BITS = 6
@@ -181,13 +222,25 @@ def _uncovered_blocks(
             yield hi << w, full ^ covered
 
 
-def _failing_bits(graph: Graph, step: int, width: int = _BLOCK_BITS) -> Iterator[int]:
-    """Every step-th orientation, ascending, that no labeling certifies."""
-    for base, left in _uncovered_blocks(graph, step, width):
-        while left:
-            bit = left & -left
-            yield base + bit.bit_length() - 1
-            left ^= bit
+def _pack(m: int, blocks: Iterable[tuple[int, int]]) -> int:
+    """One int over the 2^m orientations from (base, mask) blocks: bit
+    base + i is set when bit i of the mask is.
+
+    A block of up to 64 orientations at a multiple of its size lies in
+    one 64-bit word, so each is OR-ed into a list of words and the words
+    are joined once; OR-ing each block into one growing int would copy it
+    per block.
+    """
+    words = [0] * -(-(1 << m) // 64)
+    for base, left in blocks:
+        words[base >> 6] |= left << (base & 63)
+    return int.from_bytes(b"".join(w.to_bytes(8, "little") for w in words), "little")
+
+
+def _failing(graph: Graph, step: int, width: int = _BLOCK_BITS) -> int:
+    """Every step-th orientation that no labeling certifies, as one int:
+    bit b is set when orientation b fails."""
+    return _pack(graph.edge_count, _uncovered_blocks(graph, step, width))
 
 
 _live_reports = weakref.WeakValueDictionary()
@@ -209,16 +262,18 @@ def noncordial_orientations(
     the result.  ``_uncovered_blocks`` reads the labelings once and scans
     the orientations in blocks of 2^6: one OR per high (P, B) certifies
     up to 64 of them at once, and a block stops at the first OR that
-    fills it.  Failures are ascending; ``jobs`` is accepted and ignored.
+    fills it.  ``_failing`` packs the blocks left into the report's
+    ``failing`` int, and no ``Orientation`` is built until
+    ``report.noncordial`` is read; ``jobs`` is accepted and ignored.
 
     More than 2^22 orientations after the arc pin is refused with
     ValueError before any scan; so, next, is n >= 27, where the pinned
     labelings of both friendly sizes, ``_pinned_labelings(n)``, pass
     2^24.  At the orientation cap, ``path_graph(23)`` takes 0.9-1.7 s
     and peaks at 53 MB, mostly its 203,940 distinct (P, B) (tracemalloc;
-    Python 3.11, 2 vCPUs); a report in which every orientation fails
-    would keep about 230 MB of orientations (0.88 MB per 2^14,
-    extrapolated).
+    Python 3.11, 2 vCPUs).  There a report keeps one 512 KB int, and each
+    read of ``noncordial`` builds its orientations anew (0.88 MB and
+    about 25 ms per 2^14 of them).
     """
     m = graph.edge_count
     t0 = time.perf_counter()
@@ -233,20 +288,21 @@ def noncordial_orientations(
         raise ValueError(
             f"{labelings} labelings to scan, over the {_MAX_LABELINGS} cap"
         )
-    noncordial = tuple(Orientation(graph, bits) for bits in _failing_bits(graph, step))
-    # Equal censuses share the failure tuple of the first live report that
-    # holds it, so kept repeats hold one copy (Petersen lists 2^14, 0.88 MB)
-    # also when a repeat in between is dropped at once.
+    failing = _failing(graph, step)
+    # Equal censuses share the failure int of the first live report that
+    # holds it, so kept repeats hold one copy (Petersen's is 2 KB) also
+    # when a repeat in between is dropped at once.
     last = _live_reports.get((graph, step))
-    if last is not None and last.noncordial == noncordial:
-        noncordial = last.noncordial
+    if last is not None and last.failing == failing:
+        failing = last.failing
     report = SearchReport(
+        graph=graph,
         total_orientations_scanned=total,
-        noncordial=noncordial,
+        failing=failing,
         symmetry_mode=symmetry,
         wall_time=time.perf_counter() - t0,
     )
-    if last is None or last.noncordial is not noncordial:
+    if last is None or last.failing is not failing:
         _live_reports[(graph, step)] = report
     return report
 

@@ -1,3 +1,5 @@
+import dataclasses
+import time
 import tracemalloc
 from itertools import combinations
 from math import comb
@@ -125,12 +127,12 @@ class TestNoncordialOrientations:
         for o in noncordial_orientations(g).noncordial:
             assert is_cordial(orient(g, o)) is None
 
-    def test_kept_repeats_share_one_failure_tuple(self):
+    def test_kept_repeats_share_one_failure_int(self):
         g = petersen_graph()
         both = noncordial_orientations(g, SymmetryMode.BOTH)
         arc = noncordial_orientations(g, SymmetryMode.FIX_FIRST_ARC)
         full = noncordial_orientations(g, SymmetryMode.NONE)
-        assert arc.noncordial is both.noncordial
+        assert arc.failing is both.failing
         assert len(full.noncordial) == 2 * len(both.noncordial) == 1 << 15
 
     def test_sharing_survives_a_dropped_repeat(self):
@@ -138,7 +140,62 @@ class TestNoncordialOrientations:
         kept = noncordial_orientations(g, SymmetryMode.BOTH)
         noncordial_orientations(g, SymmetryMode.BOTH)  # dropped at once
         third = noncordial_orientations(g, SymmetryMode.BOTH)
-        assert third.noncordial is kept.noncordial
+        assert third.failing is kept.failing
+
+    def test_repr_of_a_large_report(self):
+        # 2^14 failures: the int's decimal form would pass Python's
+        # 4,300-digit limit, so repr leaves it out.
+        rep = noncordial_orientations(petersen_graph(), SymmetryMode.BOTH)
+        assert "failing" not in repr(rep)
+        assert "total_orientations_scanned=16384" in repr(rep)
+
+    def test_petersen_call_peak(self):
+        # About 2.8 MB while the call built its 2^14 orientations.
+        g = petersen_graph()
+        tracemalloc.start()
+        try:
+            noncordial_orientations(g, SymmetryMode.BOTH)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 1024
+
+    def test_kept_reports_retain_one_failure_int(self):
+        # Under 1 KB per kept report: a 2 KB int each, or one shared tuple
+        # of 2^14 orientations (0.88 MB), would not fit.
+        g = petersen_graph()
+        tracemalloc.start()
+        try:
+            kept = [noncordial_orientations(g, SymmetryMode.BOTH) for _ in range(100)]
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len({id(r.failing) for r in kept}) == 1
+        assert retained < 100 * 1024
+
+    def test_noncordial_is_built_on_each_read(self):
+        rep = noncordial_orientations(path_graph(10))
+        first = rep.noncordial
+        assert rep.noncordial == first and rep.noncordial is not first
+        assert all(o.graph is rep.graph for o in first)
+
+    def test_replace_with_orientations_sets_failing(self):
+        rep = noncordial_orientations(path_graph(10))
+        short = dataclasses.replace(rep, noncordial=rep.noncordial[1:])
+        assert short.failing == 1 << 341
+        assert [o.bits for o in short.noncordial] == [341]
+        assert dataclasses.replace(rep, wall_time=0.0) == rep
+
+    def test_reading_at_the_cap_is_linear(self):
+        # One failure per 64-bit word over 2^22 orientations; peeling the
+        # lowest bit off the whole int would copy 512 KB per failure.
+        g = path_graph(23)
+        failing = int.from_bytes((1).to_bytes(8, "little") * (1 << 16), "little")
+        rep = search.SearchReport(g, 1 << 22, failing, SymmetryMode.NONE, 0.0)
+        t0 = time.perf_counter()
+        bits = [o.bits for o in rep.noncordial]
+        assert time.perf_counter() - t0 < 2
+        assert bits == list(range(0, 1 << 22, 64))
 
     def test_jobs_argument_deterministic(self):
         g = path_graph(13)
@@ -254,7 +311,7 @@ class TestBlockedCensusAgainstLoop:
         # the width; m = 0 is one block of one orientation.
         step = 2 if pin_arc and g.edge_count else 1
         want = _loop_failing_bits(g, step)
-        assert list(search._failing_bits(g, step, width)) == want
+        assert search._failing(g, step, width) == sum(1 << b for b in want)
         blocks = list(search._uncovered_blocks(g, step, width))
         w = min(width, g.edge_count)
         bases = [base for base, _ in blocks]
@@ -270,7 +327,8 @@ class TestBlockedCensusAgainstLoop:
     )
     def test_small_and_empty(self, g, width):
         for step in (1, 2) if g.edge_count else (1,):
-            assert list(search._failing_bits(g, step, width)) == _loop_failing_bits(g, step)
+            want = _loop_failing_bits(g, step)
+            assert search._failing(g, step, width) == sum(1 << b for b in want)
 
     def test_graph_without_triples_yields_whole_blocks(self):
         # No friendly labeling of Petersen has lambda = 5, the only count
@@ -283,6 +341,17 @@ class TestBlockedCensusAgainstLoop:
         blocks = list(search._uncovered_blocks(g, 2))
         assert len(blocks) == 1 << 9
         assert all(left == int("01" * 32, 2) for _, left in blocks)
+
+    def test_failing_at_the_cap_is_linear(self, monkeypatch):
+        # 65,536 whole 64-bit blocks, the 2^22 orientations of 22 edges;
+        # OR-ing each block into one growing int would copy it per block.
+        whole = (1 << 64) - 1
+        blocks = lambda g, step, width: ((i << 6, whole) for i in range(1 << 16))
+        monkeypatch.setattr(search, "_uncovered_blocks", blocks)
+        t0 = time.perf_counter()
+        failing = search._failing(path_graph(23), 1)
+        assert time.perf_counter() - t0 < 2
+        assert failing == (1 << 2**22) - 1
 
     def test_count_sets(self):
         for plus in range(8):
@@ -324,7 +393,7 @@ class TestCensusCap:
 
     def test_largest_admitted_labeling_scan(self, monkeypatch):
         # C(25, 13) is under 2^24, so n = 26 is scanned.
-        monkeypatch.setattr(search, "_failing_bits", lambda g, step: iter(()))
+        monkeypatch.setattr(search, "_failing", lambda g, step: 0)
         rep = noncordial_orientations(Graph(26, ((0, 1), (1, 2))))
         assert rep.total_orientations_scanned == 4
 
@@ -335,7 +404,7 @@ class TestCensusCap:
 
     def test_cap_counts_after_the_arc_pin(self, monkeypatch):
         # 2^22 orientations of a 23-edge graph once bit 0 is pinned.
-        monkeypatch.setattr(search, "_failing_bits", lambda g, step: iter(()))
+        monkeypatch.setattr(search, "_failing", lambda g, step: 0)
         rep = noncordial_orientations(path_graph(24), SymmetryMode.FIX_FIRST_ARC)
         assert rep.total_orientations_scanned == 1 << 22
 
