@@ -368,7 +368,10 @@ def is_orientable(graph: Graph) -> OrientabilityWitness | None:
         return None
     labeling = VertexLabeling(graph.vertex_count, mask)
     o = construct_witness_orientation(graph, labeling)
-    return OrientabilityWitness(labeling, o, gamma_triple(orient(graph, o), labeling))
+    # The construction's gamma; the witness recomputes it once to check.
+    lam = lambda_count(graph, labeling)
+    k = graph.edge_count - lam
+    return OrientabilityWitness(labeling, o, GammaTriple((k + 1) // 2, k // 2, lam))
 
 
 # Kernel labelings per unit of the DP's estimate below which the kernel

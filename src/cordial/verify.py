@@ -1,19 +1,30 @@
 """Built-in verification suite for the library's headline results.
 
 Each check is a self-contained computation with a fixed expected outcome
-and a wall-clock budget.  ``all_checks()`` runs them in order; the CLI
-``verify-paper`` subcommand and the acceptance test module both consume
-the same list.
+and a wall-clock budget.  The CLI ``verify-paper`` subcommand (through
+``all_checks()``) and the acceptance test module both consume the same
+list.
+
+The checks share nothing, so ``all_checks()`` runs them side by side: it
+forks one worker per usable CPU beyond the first (at most one per check
+beyond the first), and this process and the workers take the checks one
+at a time, largest budget first.  Each check's elapsed time is measured
+in the process that ran it, so its budget holds as in a serial run.  The
+results come back in declared order.  With one usable CPU, one selected
+check, no ``os.fork``, or other threads running, the checks run here one
+after another in declared order.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import random
+import threading
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from .bounds import complete_graph_zero_excess, max_edges, verify_bound, z_value
 from .engine import (
@@ -62,9 +73,11 @@ class CheckFailure(AssertionError):
     """Raised by a check body when an expected outcome does not hold."""
 
 
-def _expect(condition: bool, message: str) -> None:
+def _expect(condition: bool, message: str | Callable[[], str]) -> None:
+    """Raise CheckFailure unless condition holds.  A message with values
+    in it comes as a function, so it is formatted only on failure."""
     if not condition:
-        raise CheckFailure(message)
+        raise CheckFailure(message if isinstance(message, str) else message())
 
 
 @dataclass(frozen=True)
@@ -224,15 +237,15 @@ def _check_alternating_p10() -> str:
         count += 1
         _expect(
             not is_balanced_triple(gamma_triple(d, lab)),
-            f"balanced gamma found at labeling {lab.bit_string()}",
+            lambda: f"balanced gamma found at labeling {lab.bit_string()}",
         )
-    _expect(count == 252, f"expected 252 friendly labelings, saw {count}")
+    _expect(count == 252, lambda: f"expected 252 friendly labelings, saw {count}")
     from . import cli
 
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.run(["check-digraph", "alternating_path:10"])
-    _expect(code == 1, f"check-digraph exited {code}, expected 1")
+    _expect(code == 1, lambda: f"check-digraph exited {code}, expected 1")
     _expect(
         "no cordial labeling" in buf.getvalue(),
         "check-digraph report missing 'no cordial labeling'",
@@ -245,12 +258,12 @@ def _check_p10_orientation_census() -> str:
     full = noncordial_orientations(g, SymmetryMode.NONE)
     _expect(
         full.total_orientations_scanned == 512,
-        f"scanned {full.total_orientations_scanned}, expected 512",
+        lambda: f"scanned {full.total_orientations_scanned}, expected 512",
     )
     bits = [o.bits for o in full.noncordial]
     _expect(
         bits == [170, 341],
-        f"non-cordial orientations {bits}, expected [170, 341]",
+        lambda: f"non-cordial orientations {bits}, expected [170, 341]",
     )
     _expect(
         full.noncordial[0].bit_string() == "010101010",
@@ -259,12 +272,12 @@ def _check_p10_orientation_census() -> str:
     for o in full.noncordial:
         _expect(
             is_cordial(orient(g, o)) is None,
-            f"listed orientation {o.bit_string()} re-checks cordial",
+            lambda: f"listed orientation {o.bit_string()} re-checks cordial",
         )
     fixed = noncordial_orientations(g, SymmetryMode.FIX_FIRST_ARC)
     _expect(
         fixed.total_orientations_scanned == 256,
-        f"fixed-arc scan covered {fixed.total_orientations_scanned}, expected 256",
+        lambda: f"fixed-arc scan covered {fixed.total_orientations_scanned}, expected 256",
     )
     _expect(
         [o.bits for o in fixed.noncordial] == [170],
@@ -284,13 +297,13 @@ def _check_path_landscape() -> str:
         rep = noncordial_orientations(path_graph(n))
         _expect(
             not rep.noncordial,
-            f"P{n} unexpectedly has non-cordial orientations",
+            lambda: f"P{n} unexpectedly has non-cordial orientations",
         )
     t0 = time.perf_counter()
     failing = scan_alternating_paths(22)
     dp_time = time.perf_counter() - t0
-    _expect(failing == [10, 22], f"alternating scan returned {failing}")
-    _expect(dp_time < 10.0, f"DP route took {dp_time:.1f}s, budget 10s")
+    _expect(failing == [10, 22], lambda: f"alternating scan returned {failing}")
+    _expect(dp_time < 10.0, lambda: f"DP route took {dp_time:.1f}s, budget 10s")
     # The direct scan joins the kernel's batches of every unpinned
     # friendly labeling itself, not the DP route it cross-checks.  A
     # balanced triple summing to m has every count in the window, so only
@@ -315,8 +328,8 @@ def _check_path_landscape() -> str:
             break
     direct_time = time.perf_counter() - t1
     _expect(witness is None, "direct scan found a cordial labeling at n=22")
-    _expect(count == 705432, f"direct scan covered {count} labelings")
-    _expect(direct_time < 60.0, f"direct scan took {direct_time:.1f}s, budget 60s")
+    _expect(count == 705432, lambda: f"direct scan covered {count} labelings")
+    _expect(direct_time < 60.0, lambda: f"direct scan took {direct_time:.1f}s, budget 60s")
     return (
         f"P4 fails, P5-P9 clean, alternating failures {failing}; "
         f"n=22 direct scan of {count} labelings in {direct_time:.1f}s"
@@ -326,17 +339,17 @@ def _check_path_landscape() -> str:
 def _check_window_missed(graph: Graph, what: str, m: int) -> str:
     """The graph has m edges, and no friendly labeling's monochromatic
     count reaches the balanced window."""
-    _expect(graph.edge_count == m, f"{what} should have {m} edges")
+    _expect(graph.edge_count == m, lambda: f"{what} should have {m} edges")
     window = {m - k for k in _balanced(m)}
     count = 0
     for lab in friendly_labelings(graph.vertex_count):
         count += 1
         _expect(
             lambda_count(graph, lab) not in window,
-            f"labeling {lab.bit_string()} reaches the window {sorted(window)}",
+            lambda: f"labeling {lab.bit_string()} reaches the window {sorted(window)}",
         )
-    _expect(count == 252, f"scanned {count} labelings, expected 252")
-    _expect(is_orientable(graph) is None, f"{what} reported orientable")
+    _expect(count == 252, lambda: f"scanned {count} labelings, expected 252")
+    _expect(is_orientable(graph) is None, lambda: f"{what} reported orientable")
     return "all 252 friendly labelings miss the window; not orientable"
 
 
@@ -351,7 +364,7 @@ def _check_window_crossvalidation() -> str:
             oracle = _orientable_by_orientation_scan(g)
             _expect(
                 (witness is not None) == oracle,
-                f"window test disagrees with orientation scan on n={n} "
+                lambda: f"window test disagrees with orientation scan on n={n} "
                 f"edges={g.edges}",
             )
             if witness is not None:
@@ -366,7 +379,7 @@ def _check_window_crossvalidation() -> str:
         oracle = _orientable_by_split_scan(g)
         _expect(
             (witness is not None) == oracle,
-            f"window test disagrees with split scan on n={n} edges={g.edges}",
+            lambda: f"window test disagrees with split scan on n={n} edges={g.edges}",
         )
         if witness is not None:
             _validate_witness(g, witness)
@@ -374,31 +387,29 @@ def _check_window_crossvalidation() -> str:
 
 
 def _check_edge_bound() -> str:
-    _expect(z_value(6) == 6, f"z_value(6) = {z_value(6)}, expected 6")
-    _expect(max_edges(6) == 14, f"max_edges(6) = {max_edges(6)}, expected 14")
-    _expect(max_edges(7) == 19, f"max_edges(7) = {max_edges(7)}, expected 19")
+    _expect(z_value(6) == 6, lambda: f"z_value(6) = {z_value(6)}, expected 6")
+    _expect(max_edges(6) == 14, lambda: f"max_edges(6) = {max_edges(6)}, expected 14")
+    _expect(max_edges(7) == 19, lambda: f"max_edges(7) = {max_edges(7)}, expected 19")
     for n in range(6, 101):
-        _expect(complete_graph_zero_excess(n), f"Z <= C(n,2)/3 at n={n}")
+        _expect(complete_graph_zero_excess(n), lambda: f"Z <= C(n,2)/3 at n={n}")
     parts = []
     for n in (6, 7):
         rep = verify_bound(n)
         _expect(
             rep.tight_witness is not None,
-            f"no orientable witness at {max_edges(n)} edges for n={n}",
+            lambda: f"no orientable witness at {max_edges(n)} edges for n={n}",
         )
         tight_graph = rep.tight_witness.orientation.graph
         _expect(
             tight_graph.edge_count == max_edges(n),
-            f"tightness witness for n={n} has {tight_graph.edge_count} edges",
+            lambda: f"tightness witness for n={n} has {tight_graph.edge_count} edges",
         )
         _validate_witness(tight_graph, rep.tight_witness)
         _expect(
             not rep.violations,
-            f"{len(rep.violations)} graphs on {n} vertices exceed "
+            lambda: f"{len(rep.violations)} graphs on {n} vertices exceed "
             f"max_edges({n})={max_edges(n)} yet are orientable; first violation "
-            f"has {rep.violations[0].edge_count} edges: {rep.violations[0].edges}"
-            if rep.violations
-            else "",
+            f"has {rep.violations[0].edge_count} edges: {rep.violations[0].edges}",
         )
         parts.append(f"n={n}: {rep.graphs_checked} graphs checked, tight at {max_edges(n)}")
     return "; ".join(parts)
@@ -408,22 +419,22 @@ def _check_tournaments() -> str:
     s3 = tournament_survey(3)
     _expect(
         s3.total == 8 and s3.noncordial_count == 0,
-        f"n=3 survey {s3}, expected 8 tournaments all cordial",
+        lambda: f"n=3 survey {s3}, expected 8 tournaments all cordial",
     )
     s4 = tournament_survey(4)
     _expect(
         s4.total == 64 and s4.noncordial_count > 0,
-        f"n=4 survey {s4}, expected some non-cordial tournaments",
+        lambda: f"n=4 survey {s4}, expected some non-cordial tournaments",
     )
     s5 = tournament_survey(5)
     _expect(
         s5.total == 1024 and s5.noncordial_count == 0,
-        f"n=5 survey {s5}, expected 1024 tournaments all cordial",
+        lambda: f"n=5 survey {s5}, expected 1024 tournaments all cordial",
     )
     s6 = tournament_survey(6)
     _expect(
         s6.total == 32768 and s6.noncordial_count == 32768,
-        f"n=6 survey {s6}, expected all 32768 non-cordial",
+        lambda: f"n=6 survey {s6}, expected all 32768 non-cordial",
     )
     g6 = complete_graph(6)
     _expect(
@@ -445,15 +456,15 @@ def _check_gamma_symmetries() -> str:
         alpha, beta, zero = gamma_triple(d, lab)
         _expect(
             gamma_triple(reverse(d), lab) == (beta, alpha, zero),
-            f"arc reversal identity fails on {d}",
+            lambda: f"arc reversal identity fails on {d}",
         )
         _expect(
             gamma_triple(d, lab.complement()) == (beta, alpha, zero),
-            f"label complement identity fails on {d}",
+            lambda: f"label complement identity fails on {d}",
         )
         _expect(
             gamma_triple(reverse(d), lab.complement()) == (alpha, beta, zero),
-            f"combined identity fails on {d}",
+            lambda: f"combined identity fails on {d}",
         )
     for _ in range(1000):
         n = rng.randrange(1, 9)
@@ -463,7 +474,7 @@ def _check_gamma_symmetries() -> str:
         lab = VertexLabeling(n, rng.randrange(1 << n))
         _expect(
             gamma_triple(orient(g, o), lab).gamma_zero == lambda_count(g, lab),
-            f"gamma_zero depends on orientation for {g}",
+            lambda: f"gamma_zero depends on orientation for {g}",
         )
     return "1000 symmetry triples + 1000 orientation-invariance triples hold"
 
@@ -476,13 +487,13 @@ def _check_quasigroup_equivalence() -> str:
         c_report = is_cordial(d)
         _expect(
             (q_witness is None) == (c_report is None),
-            f"quasigroup engine disagrees on {d}",
+            lambda: f"quasigroup engine disagrees on {d}",
         )
         if q_witness is not None:
             lab = VertexLabeling.from_labels(q_witness)
             _expect(
                 is_friendly(lab) and is_balanced_triple(gamma_triple(d, lab)),
-                f"quasigroup witness fails validation on {d}",
+                lambda: f"quasigroup witness fails validation on {d}",
             )
 
     pairs = 0
@@ -499,7 +510,7 @@ def _check_quasigroup_equivalence() -> str:
     tables = [_cyclic_table(q) for q in range(1, 6)] + [_klein_table()]
     swaps = 0
     for table in tables:
-        _expect(validate_latin(table), f"group table of order {table.order} rejected")
+        _expect(validate_latin(table), lambda: f"group table of order {table.order} rejected")
         q = table.order
         for i in range(q):
             for a in range(q):
@@ -508,7 +519,7 @@ def _check_quasigroup_equivalence() -> str:
                     rows[i][a], rows[i][b] = rows[i][b], rows[i][a]
                     _expect(
                         not validate_latin(rows),
-                        f"swap in row {i} of order-{q} table not rejected",
+                        lambda: f"swap in row {i} of order-{q} table not rejected",
                     )
                     swaps += 1
     return f"{pairs} digraphs agree with the direct engine; {swaps} corrupted tables rejected"
@@ -526,17 +537,17 @@ def _check_path_dp() -> str:
             direct = _scan_first_mask(n, d.arcs, True)
             _expect(
                 (dp_witness is None) == (direct is None),
-                f"DP disagrees with the scan on n={n} bits={o.bit_string()}",
+                lambda: f"DP disagrees with the scan on n={n} bits={o.bit_string()}",
             )
             if dp_witness is not None:
                 _expect(
                     is_friendly(dp_witness)
                     and is_balanced_triple(gamma_triple(d, dp_witness)),
-                    f"DP witness fails validation on n={n} bits={o.bit_string()}",
+                    lambda: f"DP witness fails validation on n={n} bits={o.bit_string()}",
                 )
                 _expect(
                     dp_witness.mask == direct,
-                    f"DP witness is not the scan's on n={n} bits={o.bit_string()}",
+                    lambda: f"DP witness is not the scan's on n={n} bits={o.bit_string()}",
                 )
             count += 1
     return f"{count} oriented paths cross-validated"
@@ -565,8 +576,16 @@ ALL_CHECKS: tuple[Check, ...] = (
 )
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call outside Linux
+        return os.cpu_count() or 1
+
+
 def all_checks(names: list[str] | None = None) -> list[CheckResult]:
-    """Run the verification checks, optionally a named subset, in order."""
+    """Run the verification checks, optionally a named subset, on every
+    usable CPU (see the module docstring); results come in declared order."""
     selected = ALL_CHECKS
     if names:
         known = {c.name for c in ALL_CHECKS}
@@ -574,4 +593,78 @@ def all_checks(names: list[str] | None = None) -> list[CheckResult]:
         if unknown:
             raise ValueError(f"unknown check names: {', '.join(unknown)}")
         selected = [c for c in ALL_CHECKS if c.name in names]
+    workers = min(_usable_cpus(), len(selected)) - 1
+    # A process with other threads running must not fork (Python 3.12
+    # warns): a forked child gets only the calling thread and whatever
+    # locks the others held.
+    if workers > 0 and hasattr(os, "fork") and threading.active_count() == 1:
+        return _run_forked(selected, workers)
     return [check.run() for check in selected]
+
+
+def _run_forked(checks: Sequence[Check], workers: int) -> list[CheckResult]:
+    """Run the checks here and in up to ``workers`` forked processes.
+
+    Each process reads one check index at a time from a shared pipe,
+    largest budget first, and runs it; a worker pickles each result back
+    through a pipe of its own and leaves by ``os._exit``.  The workers
+    are killed and reaped however this returns, and a check that no
+    process reported (its worker died) runs here afterwards.
+    """
+    import pickle
+    import signal
+
+    order = sorted(range(len(checks)), key=lambda i: -checks[i].budget_seconds)
+    tasks, feed = os.pipe()
+    # One byte per index (there are far fewer than 256 checks), written
+    # in one piece before any reader starts.
+    os.write(feed, bytes(order))
+    os.close(feed)
+
+    def pulled() -> Iterator[int]:
+        while index := os.read(tasks, 1):
+            yield index[0]
+
+    done: dict[int, CheckResult] = {}
+    pids: list[int] = []
+    inbox: list[int] = []  # read ends of the workers' result pipes
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # run with the workers forked so far
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in (r, *inbox):
+                        os.close(fd)
+                    with open(w, "wb") as out:
+                        for i in pulled():
+                            pickle.dump((i, checks[i].run()), out)
+                            out.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            pids.append(pid)
+            inbox.append(r)
+        for i in pulled():
+            done[i] = checks[i].run()
+        while inbox:
+            with open(inbox.pop(), "rb") as results:
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    while True:
+                        i, result = pickle.load(results)
+                        done[i] = result
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for fd in (tasks, *inbox):
+            os.close(fd)
+    return [done[i] if i in done else c.run() for i, c in enumerate(checks)]
