@@ -23,19 +23,20 @@ and hands every other input to one of two searches with one contract,
 ``(n, pairs, directed) -> first mask or None``, chosen by an estimate
 of their work read off the DP's own plan:
 
-- The kernel, ``_scan_first_mask`` over ``_labelings``, enumerates
-  friendly labelings and tests lambda against the window first.  It lists
-  the label-1 subsets of the low half of the vertices once per call,
-  with the XORs of their incidence and head masks, walks the high half's
-  subsets in ascending order the same way, and hands each with the low
-  subsets of fitting size to its reader as one batch.  The reader joins
-  them inline: one XOR and one popcount per labeling (lambda from
-  B = bh ^ bl), the heads mask H = hh ^ hl only inside the window, where
-  a directed scan looks |P| up for P = B & H, and the mask mh | ml only
-  for a labeling it keeps; there is no per-edge loop.  Only the low list is
-  stored: 2^(ceil(n/2) - 1) tuples with vertex 0 pinned, 0.16 MB at
-  n = 22 and 22 MB at n = 36 (tracemalloc).  Every other labeling scan
-  reads it too.
+- The kernel, ``_scan_first_mask`` over ``_sliced_leaves``, tests
+  friendly labelings 2^b at a time, bit-sliced (Biham 1997): lane k of
+  a 2^b-bit int labels the first b vertices after vertex 0 (b = n - 1
+  up to ``_MAX_LANE_BITS``) with the bits of k, so one XOR or AND of two
+  ints acts on every lane, and |B| and alpha are counters kept as one
+  int per binary digit.  The pairs among those vertices are counted once
+  per call; the other vertices are searched depth-first, each adding
+  one precomputed counter, and each leaf ANDs the friendly lanes with
+  the window's equality masks.  A full scan of ``alternating_path(22)``
+  takes about 0.7 ms where the per-labeling join it replaced took
+  23 ms, and memory is O(2^b * log m) bits whatever n is.
+  ``_labelings``, the split-half enumerator of the labelings one at a
+  time with their B and head masks, stays for the orientation census
+  and ``search.friendly_labelings``.
 - The frontier DP (vertex separation, Kinnersley 1992), for sparse
   inputs, places the vertices in natural order and keeps one int bitset
   per label pattern of the frontier: the placed vertices that still
@@ -48,16 +49,16 @@ of their work read off the DP's own plan:
   in a bitset: (ones used, alpha, beta) for digraphs, (ones used,
   lambda) for graphs, whose bitsets are so about m/3 times smaller.
   It costs about n * (n/2) * 2^w for frontier width w: paths have
-  w = 1, so ``is_cordial(alternating_path(22))`` takes under 1 ms
-  instead of the kernel's 0.1 s.  Its witness walk,
-  ``_frontier_walk``, is also ``search.path_cordial_dp``'s, and
-  ``_frontier_layers`` the layer builder of
-  ``search.scan_alternating_paths``.
+  w = 1, so ``is_cordial(alternating_path(22))`` takes about 0.07 ms
+  instead of the kernel's 0.7 ms.  Its witness walk, ``_frontier_walk``,
+  is also ``search.path_cordial_dp``'s, and ``_frontier_layers`` the
+  layer builder of ``search.scan_alternating_paths``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
@@ -277,23 +278,227 @@ def _scan_first_mask(
     n: int, pairs: tuple[tuple[int, int], ...], directed: bool
 ) -> int | None:
     """The first friendly mask in ascending order, vertex 0 pinned to 0,
-    that passes the window test, read from the kernel.
+    that passes the window test, read from the kernel's leaves: the first
+    set lane of the first leaf with one.  Exhaustive: it reads every leaf
+    of a "no".
 
-    Every decider needs lambda = m - |B| in the window, so it is tested
-    first, as |B| among the keys of ``_balanced(m)``.  Directed: alpha =
-    |P| must lie in the entry of |B| too.  Undirected: lambda alone, since
-    ``construct_witness_orientation`` splits the bichromatic pairs evenly.
+    Every decider needs lambda = m - |B| in the window.  Directed: alpha =
+    |P| must lie in the entry of |B| in ``_balanced(m)`` too.  Undirected:
+    lambda alone, since ``construct_witness_orientation`` splits the
+    bichromatic pairs evenly.
     """
-    balanced = _balanced(len(pairs))
-    for mh, bh, hh, lows in _labelings(n, pairs):
-        for ml, bl, hl in lows:
-            if (bh ^ bl).bit_count() in balanced:
-                if not directed:
-                    return mh | ml
-                bi = bh ^ bl
-                if (bi & (hh ^ hl)).bit_count() in balanced[bi.bit_count()]:
-                    return mh | ml
+    for outer, _, passing in _sliced_leaves(n, pairs, directed, True):
+        if passing:
+            return outer | ((passing & -passing).bit_length() - 1) << 1
     return None
+
+
+# The kernel's cap on b, the vertices one int labels: 2^15 lanes, 4 KB
+# per int.  Measured (Python 3.11, 2 vCPUs, min of 5) at b = 13, 14, 15
+# and 16: every leaf of alternating_path(22) with vertex 0 free 6.8,
+# 2.8, 2.5 and 2.6 ms; dense "no" digraphs at n = 26, 94, 54, 43 and
+# 34 ms; tight_bound_graph(18) 0.76, 0.53, 0.64 and 1.4 ms.  b = 16
+# wins only on the largest "no"s, is slower on small inputs, and doubles
+# the tables.
+_MAX_LANE_BITS = 15
+
+
+@lru_cache(maxsize=_MAX_LANE_BITS + 1)
+def _lane_tables(b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lanes of b vertices: lane k of a 2^b-bit int labels vertex i
+    with bit i of k.  Returns X_i, the lanes where vertex i is labeled 1,
+    for i < b, and the lanes with j ones for j = 0..b."""
+    lanes = []
+    for i in range(b):
+        # 2^i clear lanes, then 2^i set ones, doubled up to 2^b lanes.
+        x, width = (1 << (1 << i)) - 1 << (1 << i), 2 << i
+        while width >> b == 0:
+            x |= x << width
+            width <<= 1
+        lanes.append(x)
+    by_ones = [1]
+    for i in range(b):
+        by_ones = [
+            (x if j < len(by_ones) else 0) | (by_ones[j - 1] << (1 << i) if j else 0)
+            for j, x in enumerate(by_ones + [0])
+        ]
+    return tuple(lanes), tuple(by_ones)
+
+
+# One leaf of the kernel: the outer mask, its friendly lanes and the
+# friendly lanes that pass the window test.
+Leaf = tuple[int, int, int]
+
+
+def _sliced_leaves(
+    n: int, pairs: tuple[tuple[int, int], ...], directed: bool, pin: bool
+) -> Iterator[Leaf]:
+    """The friendly labelings of n vertices, 2^b per leaf, one leaf per
+    outer mask in ascending order.  pin labels vertex 0 with 0.
+
+    Lane k of a 2^b-bit int labels the inner vertices, the b =
+    min(n - pin, ``_MAX_LANE_BITS``) vertices after the pinned one, with
+    the bits of k.  The outer vertices above them are searched
+    depth-first from n - 1 down, label 0 first, skipping subtrees with
+    too many or too few ones.  A leaf (outer, friendly, passing) stands
+    for the labelings outer | k << pin with k a lane of friendly, those
+    whose ones count is friendly; passing marks the ones whose |B| is a
+    key of ``_balanced(m)`` and, directed, whose alpha = |P| lies in the
+    entry of |B| (B: the bichromatic pairs; P: those whose head is
+    labeled 1).  Every leaf has a friendly lane.
+
+    |B| and alpha are bit-sliced counters: lists of ints whose i-th int
+    holds digit i of every lane's count.  A pair's bichromatic lanes are
+    the XOR of its ends' lane masks, its +1 lanes those AND the head's.
+    The pairs between inner vertices are counted once per call, each
+    (outer vertex, label) adds one precomputed counter of its pairs to
+    inner vertices, and the pairs between outer vertices are scalars,
+    subtracted from the window's targets at each leaf.  Memory is
+    O(2^b * log m) bits whatever n is; an input with no outer vertex is
+    one leaf.
+    """
+    lo = 1 if pin else 0
+    b = min(max(n - lo, 0), _MAX_LANE_BITS)
+    lanes, by_ones = _lane_tables(b)
+    if pin:
+        lanes = (0, *lanes)
+    inner = lo + b
+    balanced = _balanced(len(pairs))
+    sizes = {n // 2, (n + 1) // 2}
+    inside, outside = [], []
+    for t, h in pairs:
+        if t < inner and h < inner:
+            inside.append((lanes[t], lanes[h]))
+        else:
+            outside.append((t, h))
+    bc, ac = _counters(inside, directed, len(pairs).bit_length())
+
+    def leaf(
+        outer: int, ones: int, bc: list[int], ac: list[int], add_a: list[int], sb: int, sa: int
+    ) -> Leaf:
+        # The alpha counter is ac + add_a, summed only once a lane's |B|
+        # is in the window.
+        friendly = 0
+        for size in sizes:
+            if 0 <= size - ones <= b:
+                friendly |= by_ones[size - ones]
+        passing = 0
+        for k, alphas in balanced.items():
+            hit = _equal(bc, k - sb, friendly)
+            if hit and directed:
+                ac, add_a = _add(ac, add_a), []
+                # Lanes of distinct alphas are disjoint: the sum is their OR.
+                hit = sum(_equal(ac, a - sa, hit) for a in alphas)
+            passing |= hit
+        return outer, friendly, passing
+
+    if inner >= n:
+        yield leaf(0, 0, bc, ac, [], 0, 0)
+        return
+
+    full = (1 << (1 << b)) - 1
+    # Outer vertex v's pairs: up[v] lists (w, v is the head) for outer
+    # w > v; adds[v][y] is the counters of its pairs to inner vertices
+    # when v is labeled y.
+    up: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+    near: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+    for t, h in outside:
+        if t >= inner and h >= inner:
+            v, w = min(t, h), max(t, h)
+            up[v].append((w, v == h))
+        elif t >= inner:
+            near[t].append((lanes[h], False))
+        else:
+            near[h].append((lanes[t], True))
+    adds = {
+        v: [
+            _counters(
+                [(u, y) if head else (y, u) for u, head in near[v]],
+                directed,
+                len(near[v]).bit_length(),
+            )
+            for y in (0, full)
+        ]
+        for v in range(inner, n)
+    }
+    min_ones, max_ones = n // 2, (n + 1) // 2
+
+    # A stack of labels still to try, (v, y, *state before v), where the
+    # state is (outer, ones, |B| counter, alpha counter, scalar |B|,
+    # scalar alpha): label 0 is popped before label 1, so leaves come in
+    # ascending order.  A stack, not a recursive closure, whose cycle
+    # would keep the counters alive until the cyclic collector ran.
+    state = (0, 0, bc, ac, 0, 0)
+    stack = [(n - 1, 1, *state), (n - 1, 0, *state)]
+    while stack:
+        v, y, outer, ones, bc, ac, sb, sa = stack.pop()
+        # v - lo vertices below v are left to label.
+        if ones + y > max_ones or ones + y + v - lo < min_ones:
+            continue
+        for w, head in up[v]:
+            x = outer >> w & 1
+            if x != y:
+                sb += 1
+                sa += y if head else x
+        add_b, add_a = adds[v][y]
+        outer, ones, bc = outer | y << v, ones + y, _add(bc, add_b)
+        if v == inner:
+            yield leaf(outer, ones, bc, ac, add_a, sb, sa)
+        else:
+            state = (outer, ones, bc, _add(ac, add_a), sb, sa)
+            stack += [(v - 1, 1, *state), (v - 1, 0, *state)]
+
+
+def _counters(
+    masks: Iterable[tuple[int, int]], directed: bool, digits: int
+) -> tuple[list[int], list[int]]:
+    """The bit-sliced |B| and (directed) alpha counters, with ``digits``
+    digits, of the pairs given as (tail lanes, head lanes)."""
+    bc = [0] * digits
+    ac = [0] * digits if directed else []
+    for lt, lh in masks:
+        x = lt ^ lh
+        plus = x & lh if directed else 0
+        i = 0
+        while x:
+            bc[i], x = bc[i] ^ x, bc[i] & x
+            i += 1
+        i = 0
+        while plus:
+            ac[i], plus = ac[i] ^ plus, ac[i] & plus
+            i += 1
+    return bc, ac
+
+
+def _add(x: list[int], y: list[int]) -> list[int]:
+    """The bit-sliced sum x + y, with x's digits; no lane may overflow."""
+    if not any(y):
+        return x
+    out = x[:]
+    carry = 0
+    for i, d in enumerate(y):
+        s = out[i]
+        t = s ^ d
+        out[i] = t ^ carry
+        carry = (s & d) | (carry & t)
+    i = len(y)
+    while carry:
+        s = out[i]
+        out[i] = s ^ carry
+        carry &= s
+        i += 1
+    return out
+
+
+def _equal(counter: list[int], value: int, lanes: int) -> int:
+    """The lanes among ``lanes`` whose count in ``counter`` is value."""
+    if value < 0 or value >> len(counter):
+        return 0
+    for i, d in enumerate(counter):
+        lanes &= d if value >> i & 1 else ~d
+        if not lanes:
+            break
+    return lanes
 
 
 @dataclass(frozen=True)
@@ -375,10 +580,14 @@ def is_orientable(graph: Graph) -> OrientabilityWitness | None:
 
 
 # Kernel labelings per unit of the DP's estimate below which the kernel
-# keeps an input.  Measured (Python 3.11, 2 vCPUs): the DP takes 0.1-0.3
-# us per unit and a full kernel scan 0.4 us per labeling, but the kernel
-# stops at its first witness, which on sparse random digraphs with
-# n = 14..18 comes within the first 1-7% of its labelings.
+# keeps an input.  Measured (Python 3.11, 2 vCPUs, min of 3): the DP
+# takes 0.04-0.10 us per unit on banded inputs with n = 16..30, and a
+# full scan of the sliced kernel 86, 30, 13.5 and 7.4 ns per labeling on
+# dense "no" digraphs with n = 14, 18, 20 and 26 (a leaf costs about the
+# same however few of its lanes are friendly).  So a DP unit costs about
+# 1-14 kernel labelings, where it cost 0.25-0.75 labelings of the
+# per-labeling join this value was set for; it stays 16 so that every
+# input keeps its route.
 _LABELINGS_PER_DP_UNIT = 16
 # The DP keeps every layer for its witness walk; inputs whose layers
 # would exceed this many bits (64 MiB) stay with the kernel, which runs
@@ -446,7 +655,7 @@ def _layout(n: int, m: int, links: int, directed: bool) -> _Layout:
 # One vertex's step: (w', moves).  Each move (q, sources) lists the
 # (p, x, shift) that send frontier pattern p before the vertex, labeled
 # x, to pattern q after it, shifting the bitset by shift.
-Step = tuple[int, list[tuple[int, list[tuple[int, int, int]]]]]
+Step = tuple[int, tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]]
 # What a step is built from: ``_frontier_step``'s first four arguments.
 StepKey = tuple[tuple[bool, ...], bool, tuple[tuple[int, bool], ...], bool]
 
@@ -504,17 +713,31 @@ def _frontier_steps(
     plan: Iterable[tuple[int, StepKey]], layout: _Layout
 ) -> list[Step]:
     """The step of each (w', key) of ``plan``.  Vertices whose frontier
-    looks the same share one step (the inner vertices of a path use two)."""
+    looks the same share one step (the inner vertices of a path use two).
+    Steps of frontiers up to ``_CACHED_STEP_WIDTH`` wide are also shared
+    across calls; a wider one, with up to 2^(w + 1) sources for a
+    frontier w wide, is built for this call only."""
     known: dict[StepKey, Step] = {}
     steps = []
     for _, key in plan:
         step = known.get(key)
         if step is None:
-            step = known[key] = _frontier_step(*key, layout.shifts, layout.one)
+            build = _frontier_step
+            if len(key[0]) > _CACHED_STEP_WIDTH:
+                build = _frontier_step.__wrapped__
+            step = known[key] = build(*key, layout.shifts, layout.one)
         steps.append(step)
     return steps
 
 
+# The widest frontier whose steps ``_frontier_step`` keeps, at most 128
+# of them with at most 2^7 sources each.  The 1,022 oriented paths of
+# verify's path-dp-crosscheck share 15 steps: their DP loop took 66 ms
+# with steps built per call and 41-46 ms with kept ones.
+_CACHED_STEP_WIDTH = 6
+
+
+@lru_cache(maxsize=128)
 def _frontier_step(
     stay: tuple[bool, ...],
     joins: bool,
@@ -525,7 +748,8 @@ def _frontier_step(
 ) -> Step:
     """One vertex's step: ``stay`` tells which frontier vertices stay in
     it, ``joins`` whether the vertex joins it, and ``links`` gives the
-    (frontier position, is tail) of the vertex's lower neighbours."""
+    (frontier position, is tail) of the vertex's lower neighbours.  The
+    step is built of tuples, since calls share it."""
     kept = [k for k, s in enumerate(stay) if s]
     moves: dict[int, list[tuple[int, int, int]]] = {}
     for x in (0,) if pinned else (0, 1):
@@ -537,7 +761,7 @@ def _frontier_step(
             for j, k in enumerate(kept):
                 q |= (p >> k & 1) << j
             moves.setdefault(q, []).append((p, x, shift))
-    return len(kept) + joins, list(moves.items())
+    return len(kept) + joins, tuple((q, tuple(s)) for q, s in moves.items())
 
 
 def _frontier_layers(plan: Iterable[Step], valid: int) -> Iterator[list[int]]:

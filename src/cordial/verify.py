@@ -30,8 +30,8 @@ from .bounds import complete_graph_zero_excess, max_edges, verify_bound, z_value
 from .engine import (
     OrientabilityWitness,
     _balanced,
-    _labelings,
     _scan_first_mask,
+    _sliced_leaves,
     gamma_triple,
     is_balanced_triple,
     is_cordial,
@@ -304,35 +304,22 @@ def _check_path_landscape() -> str:
     dp_time = time.perf_counter() - t0
     _expect(failing == [10, 22], lambda: f"alternating scan returned {failing}")
     _expect(dp_time < 10.0, lambda: f"DP route took {dp_time:.1f}s, budget 10s")
-    # The direct scan joins the kernel's batches of every unpinned
-    # friendly labeling itself, not the DP route it cross-checks.  A
-    # balanced triple summing to m has every count in the window, so only
-    # a labeling whose |B| is a key of ``_balanced(m)`` needs the full test.
+    # The direct scan reads the kernel's leaves over every friendly
+    # labeling, vertex 0 free, not the DP route it cross-checks, and
+    # counts the labelings from the leaves' friendly lanes.
     d22 = alternating_path(22)
-    m = len(d22.arcs)
-    bichromatic = _balanced(m)
     t1 = time.perf_counter()
-    count = 0
-    witness = None
-    for mh, bh, hh, lows in _labelings(22, d22.arcs, pin=False):
-        count += len(lows)
-        for ml, bl, hl in lows:
-            if (bh ^ bl).bit_count() in bichromatic:
-                bi = bh ^ bl
-                k = bi.bit_count()
-                alpha = (bi & (hh ^ hl)).bit_count()
-                if is_balanced_triple((alpha, k - alpha, m - k)):
-                    witness = mh | ml
-                    break
-        if witness is not None:
-            break
-    direct_time = time.perf_counter() - t1
-    _expect(witness is None, "direct scan found a cordial labeling at n=22")
+    count = passing = 0
+    for _, friendly, passed in _sliced_leaves(22, d22.arcs, True, False):
+        count += friendly.bit_count()
+        passing |= passed
+    direct_ms = (time.perf_counter() - t1) * 1e3
+    _expect(not passing, "direct scan found a cordial labeling at n=22")
     _expect(count == 705432, lambda: f"direct scan covered {count} labelings")
-    _expect(direct_time < 60.0, lambda: f"direct scan took {direct_time:.1f}s, budget 60s")
+    _expect(direct_ms < 60e3, lambda: f"direct scan took {direct_ms:.1f} ms, budget 60 s")
     return (
         f"P4 fails, P5-P9 clean, alternating failures {failing}; "
-        f"n=22 direct scan of {count} labelings in {direct_time:.1f}s"
+        f"n=22 direct scan of {count} labelings in {direct_ms:.1f} ms"
     )
 
 

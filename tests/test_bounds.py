@@ -128,13 +128,13 @@ class TestVerifyBound:
         # The census must not use the edge-count certificate: it would
         # assume the very ceiling being tested.
         scanned = []
-        scan = engine._labelings
+        scan = engine._sliced_leaves
 
         def counting_scan(*args, **kwargs):
             scanned.append(args[0])
             return scan(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "_labelings", counting_scan)
+        monkeypatch.setattr(engine, "_sliced_leaves", counting_scan)
         rep = verify_bound(7)
         assert rep.graphs_checked == 22
         assert scanned == [7] * 23  # 22 graphs above the ceiling + the witness

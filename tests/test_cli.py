@@ -110,6 +110,7 @@ class TestCheckGraph:
         def refuse_scan(*args, **kwargs):
             raise AssertionError("labeling scan started")
 
+        monkeypatch.setattr(engine, "_sliced_leaves", refuse_scan)
         monkeypatch.setattr(engine, "_labelings", refuse_scan)
         t0 = time.perf_counter()
         code, out, _ = invoke(["check-graph", "complete:40"])

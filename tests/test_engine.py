@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from math import comb
@@ -318,7 +319,7 @@ def transitive_tournament(n):
 
 
 class TestKernelAgainstMaskFilter:
-    """The split-half kernel against a filter over all 2^n masks.
+    """The sliced kernel against a filter over all 2^n masks.
 
     The kernel is called directly, so no input can reach the frontier DP.
     """
@@ -359,7 +360,7 @@ def refuse_scan(*args, **kwargs):
 
 class TestEdgeCountCertificate:
     def test_above_ceiling_answered_without_scan(self, monkeypatch):
-        monkeypatch.setattr(engine, "_labelings", refuse_scan)
+        monkeypatch.setattr(engine, "_sliced_leaves", refuse_scan)
         assert is_orientable(complete_graph(40)) is None
         assert is_cordial(transitive_tournament(40)) is None
         g = tight_bound_graph(12)
@@ -476,7 +477,7 @@ def refuse_dp(*args, **kwargs):
 class TestRouting:
     @pytest.mark.parametrize("n", range(18, 61, 2))
     def test_alternating_paths_go_to_the_dp(self, monkeypatch, n):
-        monkeypatch.setattr(engine, "_labelings", refuse_scan)
+        monkeypatch.setattr(engine, "_sliced_leaves", refuse_scan)
         report = is_cordial(alternating_path(n))
         assert (report is None) == (n % 12 == 10)
         if report is not None:
@@ -490,14 +491,14 @@ class TestRouting:
             layout, steps = engine._frontier_plan(n, alternating_path(n).arcs, True)
             bits = sum(layout.size << w for w, _ in steps)
             assert (bits <= engine._DP_MAX_BITS) == fits
-        monkeypatch.setattr(engine, "_labelings", refuse_scan)
+        monkeypatch.setattr(engine, "_sliced_leaves", refuse_scan)
         assert engine._first_mask(250, alternating_path(250).arcs, True) is None
         with pytest.raises(AssertionError, match="labeling scan started"):
             engine._first_mask(260, alternating_path(260).arcs, True)
 
     @pytest.mark.parametrize("n", [22, 28, 34, 46, 394])
     def test_caterpillars_go_to_the_dp(self, monkeypatch, n):
-        monkeypatch.setattr(engine, "_labelings", refuse_scan)
+        monkeypatch.setattr(engine, "_sliced_leaves", refuse_scan)
         assert (is_orientable(caterpillar(n)) is None) == (n % 12 == 10)
 
     def test_dense_and_small_inputs_stay_on_the_kernel(self, monkeypatch):
@@ -543,12 +544,24 @@ class TestLayout:
         assert max(s.bit_length() for s in layers[-1]) > layout.size - layout.one
         bound = layout.size * sum(len(layer) for layer in layers)
         first = scan_mask(n, pairs, directed)
-        monkeypatch.setattr(engine, "_labelings", refuse_scan)
+        monkeypatch.setattr(engine, "_sliced_leaves", refuse_scan)
         monkeypatch.setattr(engine, "_DP_MAX_BITS", bound)
         assert engine._first_mask(n, pairs, directed) == first
         monkeypatch.setattr(engine, "_DP_MAX_BITS", bound - 1)
         with pytest.raises(AssertionError, match="labeling scan started"):
             engine._first_mask(n, pairs, directed)
+
+    def test_only_narrow_steps_are_kept_across_calls(self):
+        # Vertex 11 joins vertices 0..7, so the frontier grows to 8 wide.
+        n, pairs = 12, tuple((v, 11) for v in range(8)) + ((8, 9), (9, 10))
+        keys = {key for _, key in engine._frontier_plan(n, pairs, False)[1]}
+        narrow = {key for key in keys if len(key[0]) <= engine._CACHED_STEP_WIDTH}
+        assert 0 < len(narrow) < len(keys)
+        engine._frontier_step.cache_clear()
+        first = engine._frontier_first_mask(n, pairs, False)
+        assert engine._frontier_step.cache_info().currsize == len(narrow)
+        assert engine._frontier_first_mask(n, pairs, False) == first
+        assert engine._frontier_step.cache_info().hits == len(narrow)
 
 
 class CountingPairs(tuple):
@@ -606,7 +619,7 @@ class TestOneDecision:
         ],
     )
     def test_dp_route_reads_its_pairs_once(self, monkeypatch, n, pairs, directed):
-        monkeypatch.setattr(engine, "_labelings", refuse_scan)
+        monkeypatch.setattr(engine, "_sliced_leaves", refuse_scan)
         counted = CountingPairs(pairs)
         assert engine._first_mask(n, counted, directed) == engine._frontier_first_mask(
             n, pairs, directed
@@ -663,79 +676,135 @@ class TestLabelingTriples:
             assert all((mh | ml).bit_count() in sizes for ml in masks)
 
 
-def flat_labelings(n, pairs):
-    """The kernel as a flat generator of (mask, B, H), one per friendly
-    labeling in ascending mask order with vertex 0 pinned to 0: the plain
-    join the batches replace."""
-    incident = [0] * n
-    head = [0] * n
-    for j, (t, h) in enumerate(pairs):
-        incident[t] ^= 1 << j
-        incident[h] ^= 1 << j
-        head[h] ^= 1 << j
-
-    def subsets(vertices):
-        flips = [(0, 0, 0)]
-        for v in vertices:
-            mask, b, hh = flips[-1]
-            flips.append((mask | 1 << v, b ^ incident[v], hh ^ head[v]))
-        mask = b = hh = 0
-        for k in range(1 << len(vertices)):
-            if k:
-                fm, fb, fh = flips[(k & -k).bit_length()]
-                mask, b, hh = mask ^ fm, b ^ fb, hh ^ fh
-            yield mask, b, hh
-
-    half = (n + 1) // 2
-    lows = list(subsets(range(1, half)))
-    sizes = {n // 2, (n + 1) // 2}
-    fitting = [
-        [low for low in lows if low[0].bit_count() + k in sizes]
-        for k in range(n - half + 1)
-    ]
-    for mh, bh, hh in subsets(range(half, n)):
-        for ml, bl, hl in fitting[mh.bit_count()]:
-            yield mh | ml, bh ^ bl, hh ^ hl
-
-
-def flat_first_mask(n, pairs, directed):
-    """``_scan_first_mask`` over the flat generator."""
-    m = len(pairs)
-    window = (m // 3, (m + 2) // 3)
-    for mask, bi, heads in flat_labelings(n, pairs):
-        k = bi.bit_count()
-        if m - k in window:
-            if not directed:
-                return mask
-            alpha = (bi & heads).bit_count()
-            if alpha in window and k - alpha in window:
-                return mask
+def join_first_mask(n, pairs, directed, pin=True):
+    """The first passing mask by the batched join the sliced kernel
+    replaced: one XOR and one popcount per labeling over the batches of
+    ``_labelings``."""
+    balanced = engine._balanced(len(pairs))
+    for mh, bh, hh, lows in engine._labelings(n, pairs, pin=pin):
+        for ml, bl, hl in lows:
+            if (bh ^ bl).bit_count() in balanced:
+                if not directed:
+                    return mh | ml
+                bi = bh ^ bl
+                if (bi & (hh ^ hl)).bit_count() in balanced[bi.bit_count()]:
+                    return mh | ml
     return None
 
 
-def assert_scan_is_the_flat_join(n, arcs):
-    assert scan_mask(n, arcs, True) == flat_first_mask(n, arcs, True)
+def sliced_scan(n, pairs, directed, pin):
+    """The kernel's first passing mask and its count of friendly
+    labelings, read from every leaf, checking the leaves' order and that
+    passing lanes are friendly."""
+    first, count, last = None, 0, -1
+    for outer, friendly, passing in engine._sliced_leaves(n, pairs, directed, pin):
+        assert outer > last and friendly and passing & ~friendly == 0
+        last = outer
+        count += friendly.bit_count()
+        if passing and first is None:
+            first = outer | (passing & -passing).bit_length() - 1 << pin
+    return first, count
+
+
+def friendly_count(n, pin):
+    if pin:
+        return engine._pinned_labelings(n)
+    return sum(comb(n, k) for k in {n // 2, (n + 1) // 2})
+
+
+def dense_digraph(n, seed):
+    """Seven tenths of max_edges(n) arcs at random: "no"s below the ceiling."""
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = rng.sample(pairs, 7 * max_edges(n) // 10)
+    return tuple((u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs)
+
+
+@st.composite
+def lane_inputs(draw):
+    """(n, pairs, directed, pin, b): up to two pairs over max_edges(n),
+    and any lane count b the n - pin free vertices allow."""
+    n = draw(st.integers(0, 14))
+    directed, pin = draw(st.booleans()), draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    top = min(len(pairs), max_edges(n) + 2) if n >= 2 else 0
+    rng = draw(st.randoms(use_true_random=False))
+    picked = rng.sample(pairs, draw(st.integers(0, top)))
+    if directed:
+        picked = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in picked]
+    else:
+        picked = list(make_graph(n, picked).edges)
+    b = draw(st.integers(0, max(n - pin, 0)))
+    return n, tuple(picked), directed, pin, b
+
+
+class TestSlicedKernel:
+    @pytest.mark.parametrize("b", range(11))
+    def test_lane_masks(self, b):
+        lanes, by_ones = engine._lane_tables(b)
+        assert len(lanes) == b and len(by_ones) == b + 1
+        for i in range(b):
+            assert all((lanes[i] >> k & 1) == (k >> i & 1) for k in range(1 << b))
+        for j in range(b + 1):
+            assert all((by_ones[j] >> k & 1) == (k.bit_count() == j) for k in range(1 << b))
+
+    @given(lane_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_leaves_against_the_join(self, drawn):
+        n, pairs, directed, pin, b = drawn
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_MAX_LANE_BITS", b)
+            first, count = sliced_scan(n, pairs, directed, pin)
+        assert first == join_first_mask(n, pairs, directed, pin)
+        if first is None:
+            assert count == friendly_count(n, pin)
+
+    def test_alternating_p22_with_vertex_0_free(self):
+        assert sliced_scan(22, alternating_path(22).arcs, True, False) == (None, 705432)
+
+    def test_a_scan_leaves_no_garbage_cycles(self):
+        # Counters held by a reference cycle would wait for the cyclic
+        # collector, so memory would grow with the number of calls.
+        pairs, d22 = tight_bound_graph(18).edges, alternating_path(22).arcs
+        gc.collect()
+        gc.disable()
+        try:
+            engine._scan_first_mask(18, pairs, False)
+            sliced_scan(22, d22, True, False)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_dense_no_below_the_ceiling(self):
+        pairs = dense_digraph(24, 0)
+        assert len(pairs) < max_edges(24)
+        assert sliced_scan(24, pairs, True, True) == (None, engine._pinned_labelings(24))
+        assert join_first_mask(24, pairs, True) is None
+
+
+def assert_scan_is_the_join(n, arcs):
+    assert scan_mask(n, arcs, True) == join_first_mask(n, arcs, True)
     edges = make_graph(n, arcs).edges
-    assert scan_mask(n, edges, False) == flat_first_mask(n, edges, False)
+    assert scan_mask(n, edges, False) == join_first_mask(n, edges, False)
 
 
 class TestWitnessIdentity:
-    """The batched kernel's first mask against the flat join it replaced,
-    on inputs too large for the 2^n filter."""
+    """The sliced kernel's first mask against the batched join it
+    replaced, on inputs too large for the 2^n filter."""
 
     @given(digraphs(max_n=12))
     @settings(max_examples=150, deadline=None)
     def test_drawn_digraphs_and_their_graphs(self, d):
-        assert_scan_is_the_flat_join(d.vertex_count, d.arcs)
+        assert_scan_is_the_join(d.vertex_count, d.arcs)
 
     @pytest.mark.parametrize("n", range(2, 23, 2))
     def test_alternating_paths(self, n):
-        assert_scan_is_the_flat_join(n, alternating_path(n).arcs)
+        assert_scan_is_the_join(n, alternating_path(n).arcs)
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_tight_bound_graphs(self, n):
-        assert_scan_is_the_flat_join(n, tight_bound_graph(n).edges)
+        assert_scan_is_the_join(n, tight_bound_graph(n).edges)
 
     @pytest.mark.parametrize("g", [petersen_graph(), counterexample_tree()])
     def test_paper_graphs(self, g):
-        assert_scan_is_the_flat_join(g.vertex_count, g.edges)
+        assert_scan_is_the_join(g.vertex_count, g.edges)
