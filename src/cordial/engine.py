@@ -33,7 +33,8 @@ of their work read off the DP's own plan:
   one precomputed counter, and each leaf ANDs the friendly lanes with
   the window's equality masks.  A full scan of ``alternating_path(22)``
   takes about 0.7 ms where the per-labeling join it replaced took
-  23 ms, and memory is O(2^b * log m) bits whatever n is.
+  23 ms.  Memory is O(n * 2^b * log m) bits, linear in n where the
+  join's low list grew as 2^(n/2).
   ``_labelings``, the split-half enumerator of the labelings one at a
   time with their B and head masks, stays for the orientation census
   and ``search.friendly_labelings``.
@@ -354,8 +355,8 @@ def _sliced_leaves(
     (outer vertex, label) adds one precomputed counter of its pairs to
     inner vertices, and the pairs between outer vertices are scalars,
     subtracted from the window's targets at each leaf.  Memory is
-    O(2^b * log m) bits whatever n is; an input with no outer vertex is
-    one leaf.
+    O(n * 2^b * log m) bits: a few counters per outer vertex.  An input
+    with no outer vertex is one leaf.
     """
     lo = 1 if pin else 0
     b = min(max(n - lo, 0), _MAX_LANE_BITS)
