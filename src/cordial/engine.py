@@ -34,10 +34,9 @@ of their work read off the DP's own plan:
   the window's equality masks.  A full scan of ``alternating_path(22)``
   takes about 0.7 ms where the per-labeling join it replaced took
   23 ms.  Memory is O(n * 2^b * log m) bits, linear in n where the
-  join's low list grew as 2^(n/2).
-  ``_labelings``, the split-half enumerator of the labelings one at a
-  time with their B and head masks, stays for the orientation census
-  and ``search.friendly_labelings``.
+  join's low list grew as 2^(n/2).  It is the one labeling enumerator:
+  the orientation census and ``search.friendly_labelings`` read its
+  leaves too.
 - The frontier DP (vertex separation, Kinnersley 1992), for sparse
   inputs, places the vertices in natural order and keeps one int bitset
   per label pattern of the frontier: the placed vertices that still
@@ -127,65 +126,6 @@ def lambda_count(graph: Graph, labeling: VertexLabeling) -> int:
     )
 
 
-# One labeling batch: a high-half subset (mh, bh, hh) and the ascending
-# (ml, bl, hl) of every low-half subset of fitting size.
-Batch = tuple[int, int, int, list[tuple[int, int, int]]]
-
-
-def _labelings(
-    n: int, pairs: tuple[tuple[int, int], ...], pin: bool = True
-) -> Iterator[Batch]:
-    """The friendly labelings of n vertices, one batch per subset of the
-    high half of the vertices, in ascending order of its mask mh.
-
-    A subset of vertices carries its mask, B (the pairs with exactly one
-    end in it) and H (the pairs whose head h is in it).  The batch of mh
-    lists the low-half subsets whose sizes make mh | ml friendly, in
-    ascending ml, so reading each batch's list in turn gives the masks
-    mh | ml in ascending order.  The labeling's B = bh ^ bl marks the
-    pairs (t, h) whose ends differ in label and H = hh ^ hl those whose
-    head is labeled 1, so P = B & H marks the bichromatic pairs with h
-    labeled 1 and arcs ``pairs`` get alpha = |P|, beta = |B| - |P| and
-    gamma_0 = lambda = m - |B|.  A reader joins each batch inline: one
-    XOR and one popcount per labeling for lambda, the heads mask only
-    for labelings whose lambda lies in the window (undirected readers
-    never), and the mask only for labelings it keeps.  Every batch with
-    the same number of high ones shares one list, which readers must not
-    change.  pin labels vertex 0 with 0, keeping one labeling of each
-    complement pair.
-    """
-    incident = [0] * n
-    head = [0] * n
-    for j, (t, h) in enumerate(pairs):
-        incident[t] ^= 1 << j
-        incident[h] ^= 1 << j
-        head[h] ^= 1 << j
-
-    def subsets(vertices: range) -> Iterator[tuple[int, int, int]]:
-        # flips[i] XORs the first i vertices; the k-th subset in ascending
-        # order differs from the (k-1)-th in the first (k & -k).bit_length().
-        flips = [(0, 0, 0)]
-        for v in vertices:
-            mask, b, hh = flips[-1]
-            flips.append((mask | 1 << v, b ^ incident[v], hh ^ head[v]))
-        mask = b = hh = 0
-        for k in range(1 << len(vertices)):
-            if k:
-                fm, fb, fh = flips[(k & -k).bit_length()]
-                mask, b, hh = mask ^ fm, b ^ fb, hh ^ fh
-            yield mask, b, hh
-
-    half = (n + 1) // 2
-    lows = list(subsets(range(1 if pin else 0, half)))
-    sizes = {n // 2, (n + 1) // 2}
-    fitting = [
-        [low for low in lows if low[0].bit_count() + k in sizes]
-        for k in range(n - half + 1)
-    ]
-    for mh, bh, hh in subsets(range(half, n)):
-        yield mh, bh, hh, fitting[mh.bit_count()]
-
-
 @dataclass(frozen=True)
 class LabelingReport:
     """Outcome of a labeling check on one digraph or graph."""
@@ -258,8 +198,8 @@ def _first_mask(
 
 def _pinned_labelings(n: int) -> int:
     """The friendly labelings of n vertices with vertex 0 labeled 0, over
-    both friendly sizes: as many as ``_labelings(n, pairs)`` yields.  The
-    empty graph has one, the empty labeling."""
+    both friendly sizes, as many as the kernel's pinned friendly lanes.
+    The empty graph has one, the empty labeling."""
     if n == 0:
         return 1
     return sum(comb(n - 1, k) for k in {n // 2, (n + 1) // 2})
@@ -304,6 +244,11 @@ def _scan_first_mask(
 _MAX_LANE_BITS = 15
 
 
+def _lane_bits(n: int, pin: bool) -> int:
+    """b, the vertices one lane int labels: those after the pinned one."""
+    return min(max(n - pin, 0), _MAX_LANE_BITS)
+
+
 @lru_cache(maxsize=_MAX_LANE_BITS + 1)
 def _lane_tables(b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The lanes of b vertices: lane k of a 2^b-bit int labels vertex i
@@ -338,8 +283,8 @@ def _sliced_leaves(
     outer mask in ascending order.  pin labels vertex 0 with 0.
 
     Lane k of a 2^b-bit int labels the inner vertices, the b =
-    min(n - pin, ``_MAX_LANE_BITS``) vertices after the pinned one, with
-    the bits of k.  The outer vertices above them are searched
+    ``_lane_bits(n, pin)`` vertices after the pinned one, with the bits
+    of k.  The outer vertices above them are searched
     depth-first from n - 1 down, label 0 first, skipping subtrees with
     too many or too few ones.  A leaf (outer, friendly, passing) stands
     for the labelings outer | k << pin with k a lane of friendly, those
@@ -359,7 +304,7 @@ def _sliced_leaves(
     with no outer vertex is one leaf.
     """
     lo = 1 if pin else 0
-    b = min(max(n - lo, 0), _MAX_LANE_BITS)
+    b = _lane_bits(n, pin)
     lanes, by_ones = _lane_tables(b)
     if pin:
         lanes = (0, *lanes)

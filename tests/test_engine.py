@@ -33,6 +33,7 @@ from cordial import (
     path_graph,
     petersen_graph,
     reverse,
+    search,
     tight_bound_graph,
 )
 
@@ -100,7 +101,8 @@ class TestScanTables:
 
     @pytest.mark.parametrize("n", range(19))
     def test_pinned_labelings_counts_what_the_kernel_yields(self, n):
-        yielded = sum(len(lows) for *_, lows in engine._labelings(n, ()))
+        leaves = engine._sliced_leaves(n, (), False, True)
+        yielded = sum(friendly.bit_count() for _, friendly, _ in leaves)
         assert engine._pinned_labelings(n) == yielded
 
 
@@ -345,7 +347,8 @@ class TestKernelAgainstMaskFilter:
         g = complete_graph(n)
         assert scan_mask(n, g.edges, False) == first_window_mask(g)
 
-    @pytest.mark.parametrize("n", range(1, 15))
+    # From n = 16 free (17 pinned) the kernel yields several leaves.
+    @pytest.mark.parametrize("n", range(1, 19))
     def test_friendly_labelings_in_mask_order(self, n):
         friendly = [mask for mask in range(1 << n) if is_friendly(VertexLabeling(n, mask))]
         assert [lab.mask for lab in friendly_labelings(n)] == friendly
@@ -638,26 +641,104 @@ class TestOneDecision:
         assert {"dp", "kernel"} <= set(routes)
 
 
+def labelings(n, pairs, pin=True):
+    """The split-half enumerator that the sliced kernel replaced, kept as
+    the oracle's: the friendly labelings of n vertices, one batch
+    (mh, bh, hh, lows) per subset of the high half of the vertices, in
+    ascending mh.  A subset carries its mask, B (the pairs with exactly
+    one end in it) and H (the pairs whose head is in it); lows lists the
+    (ml, bl, hl) of the low-half subsets whose sizes make mh | ml
+    friendly, in ascending ml.  pin labels vertex 0 with 0."""
+    incident = [0] * n
+    head = [0] * n
+    for j, (t, h) in enumerate(pairs):
+        incident[t] ^= 1 << j
+        incident[h] ^= 1 << j
+        head[h] ^= 1 << j
+
+    def subsets(vertices):
+        # flips[i] XORs the first i vertices; the k-th subset in ascending
+        # order differs from the (k-1)-th in the first (k & -k).bit_length().
+        flips = [(0, 0, 0)]
+        for v in vertices:
+            mask, b, hh = flips[-1]
+            flips.append((mask | 1 << v, b ^ incident[v], hh ^ head[v]))
+        mask = b = hh = 0
+        for k in range(1 << len(vertices)):
+            if k:
+                fm, fb, fh = flips[(k & -k).bit_length()]
+                mask, b, hh = mask ^ fm, b ^ fb, hh ^ fh
+            yield mask, b, hh
+
+    half = (n + 1) // 2
+    lows = list(subsets(range(1 if pin else 0, half)))
+    sizes = {n // 2, (n + 1) // 2}
+    fitting = [
+        [low for low in lows if low[0].bit_count() + k in sizes]
+        for k in range(n - half + 1)
+    ]
+    for mh, bh, hh in subsets(range(half, n)):
+        yield mh, bh, hh, fitting[mh.bit_count()]
+
+
+def masks_of(mask, pairs):
+    """B and H of one labeling: B marks the pairs whose ends differ in
+    label, H those whose head is labeled 1."""
+    bi = heads = 0
+    for j, (t, h) in enumerate(pairs):
+        bi |= ((mask >> t ^ mask >> h) & 1) << j
+        heads |= (mask >> h & 1) << j
+    return bi, heads
+
+
+def window_labelings(n, pairs):
+    """Per-mask oracle of the census reader: (mask, B, H) of each friendly
+    mask, vertex 0 labeled 0, in ascending order, whose |B| is a key of
+    ``_balanced(m)``."""
+    balanced = engine._balanced(len(pairs))
+    found = []
+    for mask in range(0, 1 << n, 2):
+        if mask.bit_count() not in {n // 2, (n + 1) // 2}:
+            continue
+        bi, heads = masks_of(mask, pairs)
+        if bi.bit_count() in balanced:
+            found.append((mask, bi, heads))
+    return found
+
+
+def census_read(n, pairs):
+    """The (B, H) of every labeling the census reads, in reading order."""
+    return [
+        (bh ^ bl, hh ^ hl)
+        for bh, hh, lows in search._window_chunks(n, pairs)
+        for bl, hl in lows
+    ]
+
+
 class TestLabelingTriples:
-    @given(digraphs(max_n=9), st.booleans())
+    """The census reader, ``search._window_chunks``, against the per-mask
+    oracle, and the invariants of the oracle enumerator ``labelings``."""
+
+    @given(digraphs(max_n=9))
     @settings(max_examples=100, deadline=None)
-    def test_bichromatic_and_head_masks(self, d, pin):
+    def test_bichromatic_and_head_masks(self, d):
         n = d.vertex_count
-        triples = [
-            (mh | ml, bh ^ bl, hh ^ hl)
-            for mh, bh, hh, lows in engine._labelings(n, d.arcs, pin=pin)
-            for ml, bl, hl in lows
-        ]
-        friendly = [mask for mask in range(1 << n) if is_friendly(VertexLabeling(n, mask))]
-        assert [mask for mask, _, _ in triples] == [
-            mask for mask in friendly if not (pin and mask & 1)
-        ]
-        for mask, bi, heads in triples:
-            lab = VertexLabeling(n, mask)
-            arcs = list(enumerate(d.arcs))
-            assert bi == sum(1 << j for j, (t, h) in arcs if lab.label(t) != lab.label(h))
-            assert heads == sum(1 << j for j, (_, h) in arcs if lab.label(h))
-            assert (bi & heads).bit_count() == gamma_triple(d, lab).alpha
+        expected = window_labelings(n, d.arcs)
+        assert census_read(n, d.arcs) == [(bi, heads) for _, bi, heads in expected]
+        for mask, bi, heads in expected:
+            assert (bi & heads).bit_count() == gamma_triple(d, VertexLabeling(n, mask)).alpha
+
+    @pytest.mark.parametrize("n", range(16, 20))
+    def test_census_reader_with_outer_vertices(self, n):
+        # From n = 17 the lanes hold 15 vertices after vertex 0 and the
+        # rest are outer, so the kernel yields several leaves.
+        rng = random.Random(n)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = make_graph(n, rng.sample(pairs, n + 4)).edges
+        expected = [(bi, heads) for _, bi, heads in window_labelings(n, edges)]
+        assert expected and census_read(n, edges) == expected
+        leaves = sum(1 for _ in engine._sliced_leaves(n, edges, False, True))
+        assert (leaves > 1) == (n > 16)
 
     @given(digraphs(max_n=9), st.booleans())
     @settings(max_examples=100, deadline=None)
@@ -665,7 +746,7 @@ class TestLabelingTriples:
         n = d.vertex_count
         sizes = {n // 2, (n + 1) // 2}
         low_half = (1 << (n + 1) // 2) - 1
-        batches = list(engine._labelings(n, d.arcs, pin=pin))
+        batches = list(labelings(n, d.arcs, pin=pin))
         highs = [mh for mh, _, _, _ in batches]
         assert highs == sorted(set(highs))
         assert not any(mh & low_half for mh in highs)
@@ -674,14 +755,23 @@ class TestLabelingTriples:
             assert masks == sorted(set(masks))
             assert all(ml & ~low_half == 0 for ml in masks)
             assert all((mh | ml).bit_count() in sizes for ml in masks)
+        triples = [
+            (mh | ml, bh ^ bl, hh ^ hl) for mh, bh, hh, lows in batches for ml, bl, hl in lows
+        ]
+        friendly = [mask for mask in range(1 << n) if mask.bit_count() in sizes]
+        assert [mask for mask, _, _ in triples] == [
+            mask for mask in friendly if not (pin and mask & 1)
+        ]
+        for mask, bi, heads in triples:
+            assert (bi, heads) == masks_of(mask, d.arcs)
 
 
 def join_first_mask(n, pairs, directed, pin=True):
     """The first passing mask by the batched join the sliced kernel
     replaced: one XOR and one popcount per labeling over the batches of
-    ``_labelings``."""
+    ``labelings``."""
     balanced = engine._balanced(len(pairs))
-    for mh, bh, hh, lows in engine._labelings(n, pairs, pin=pin):
+    for mh, bh, hh, lows in labelings(n, pairs, pin=pin):
         for ml, bl, hl in lows:
             if (bh ^ bl).bit_count() in balanced:
                 if not directed:
@@ -771,6 +861,8 @@ class TestSlicedKernel:
         try:
             engine._scan_first_mask(18, pairs, False)
             sliced_scan(22, d22, True, False)
+            # The census reads the kernel's leaves of P17: two of them.
+            search.noncordial_orientations(path_graph(17), search.SymmetryMode.BOTH)
             assert gc.collect() == 0
         finally:
             gc.enable()

@@ -370,12 +370,13 @@ class TestBlockedCensusAgainstLoop:
         )
 
 
+def refuse_scan(*args, **kwargs):
+    raise AssertionError("labelings scanned")
+
+
 class TestCensusCap:
     def test_oversize_refused_before_the_scan(self, monkeypatch):
-        def no_scan(*args, **kwargs):
-            raise AssertionError("labelings scanned")
-
-        monkeypatch.setattr(search, "_labelings", no_scan)
+        monkeypatch.setattr(search, "_sliced_leaves", refuse_scan)
         with pytest.raises(ValueError, match="over the 4194304 cap"):
             noncordial_orientations(path_graph(24))
         with pytest.raises(ValueError, match="over the 4194304 cap"):
@@ -390,6 +391,23 @@ class TestCensusCap:
             noncordial_orientations(Graph(27, ((0, 1), (1, 2))))
         with pytest.raises(ValueError, match=r"20058300 labelings"):
             noncordial_orientations(Graph(28, ()))
+
+    def test_counts_past_4300_digits_are_named_by_size(self, monkeypatch):
+        # str() of an int of more than 4,300 digits raises ValueError, so
+        # such counts are given as a power of two with the input's size.
+        monkeypatch.setattr(search, "_sliced_leaves", refuse_scan)
+        refusal = r"^at least 2\^14365 orientations to scan \(14365 edges\), over the 4194304 cap$"
+        with pytest.raises(ValueError, match=refusal):
+            noncordial_orientations(complete_graph(170))
+        refusal = r"^at least 2\^19991 labelings to scan \(20000 vertices\), over the 16777216 cap$"
+        with pytest.raises(ValueError, match=refusal):
+            noncordial_orientations(Graph(20000, ()))
+        # Below 2^64 the count is given in full.
+        refusal = r"^9223372036854775808 orientations to scan, over the 4194304 cap$"
+        with pytest.raises(ValueError, match=refusal):
+            noncordial_orientations(path_graph(64))
+        with pytest.raises(ValueError, match=r"^at least 2\^64 orientations to scan \(64 edges\)"):
+            noncordial_orientations(path_graph(65))
 
     def test_largest_admitted_labeling_scan(self, monkeypatch):
         # C(25, 13) is under 2^24, so n = 26 is scanned.
