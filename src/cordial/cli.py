@@ -318,21 +318,22 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     t0 = time.perf_counter()
+    # Formatting is inside too: str() refuses an int of over 4,300 digits.
     try:
         code, inputs, verdicts, override = args.handler(args)
+        if override is not None and not args.json:
+            text = override.removesuffix("\n")
+        else:
+            report = RunReport(
+                command=args.command,
+                inputs=inputs,
+                verdicts=verdicts,
+                timing_seconds=round(time.perf_counter() - t0, 6),
+            )
+            text = report.to_json() if args.json else report.to_text()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if override is not None and not args.json:
-        text = override.removesuffix("\n")
-    else:
-        report = RunReport(
-            command=args.command,
-            inputs=inputs,
-            verdicts=verdicts,
-            timing_seconds=round(time.perf_counter() - t0, 6),
-        )
-        text = report.to_json() if args.json else report.to_text()
     try:
         print(text, flush=True)
     except BrokenPipeError:

@@ -132,13 +132,12 @@ class LabelingReport:
 
     labeling: VertexLabeling
     verdict: bool
-    gamma: GammaTriple | None = None
+    gamma: GammaTriple
 
     def __post_init__(self) -> None:
-        if self.gamma is not None:
-            expected = is_balanced_triple(self.gamma) and is_friendly(self.labeling)
-            if self.verdict != expected:
-                raise ValueError("verdict inconsistent with gamma and labeling")
+        expected = is_balanced_triple(self.gamma) and is_friendly(self.labeling)
+        if self.verdict != expected:
+            raise ValueError("verdict inconsistent with gamma and labeling")
 
 
 def is_cordial(digraph: Digraph) -> LabelingReport | None:
@@ -177,9 +176,7 @@ def _first_mask(
     keys, so a kernel-routed input builds no step.  Both searches return
     the same mask.
     """
-    if n < 2:
-        return _scan_first_mask(n, pairs, directed)
-    if len(pairs) > max_edges(n):
+    if n >= 2 and len(pairs) > max_edges(n):
         return None
     budget = _pinned_labelings(n) // _LABELINGS_PER_DP_UNIT
     unit = n * (n // 2)

@@ -29,6 +29,7 @@ import time
 import weakref
 from dataclasses import InitVar, dataclass, field
 from itertools import compress, count
+from math import comb
 from typing import Iterable, Iterator
 
 from .engine import (
@@ -291,12 +292,27 @@ def _failing(graph: Graph, step: int, width: int = _BLOCK_BITS) -> int:
     return _pack(graph.edge_count, _uncovered_blocks(graph, step, width))
 
 
-def _to_scan(number: int, what: str, size: str) -> str:
-    """The text "<number> <what> to scan", from 2^64 on with a power of two
-    and the input's size: str() refuses an int of over 4,300 digits."""
-    if number >> 64:
-        return f"at least 2^{number.bit_length() - 1} {what} to scan ({size})"
-    return f"{number} {what} to scan"
+def _refuse_over(cap: int, number: int, what: str, size: str, log2: int = -1) -> None:
+    """ValueError("<number> <what>, over the <cap> cap") when number passes
+    cap.  From 2^64 on, past every cap, it reads "at least 2^k <what>
+    (<size>)": str() refuses an int of over 4,300 digits.  A count 2^k too
+    large to hold comes as log2=k."""
+    k = max(log2, number.bit_length() - 1)
+    if k >= 64:
+        raise ValueError(f"at least 2^{k} {what} ({size}), over the {cap} cap")
+    if number > cap:
+        raise ValueError(f"{number} {what}, over the {cap} cap")
+
+
+def _census_size(n: int, m: int, step: int) -> int:
+    """The 2^m / step orientations a census of n vertices and m edges
+    scans, refused over 2^22 or over 2^24 pinned labelings.  Read from
+    the counts alone, so K_n is sized before it is built."""
+    k = m - (step == 2)
+    total = 1 << min(k, 64)
+    _refuse_over(_MAX_ORIENTATIONS, total, "orientations to scan", f"{m} edges", k)
+    _refuse_over(_MAX_LABELINGS, _pinned_labelings(n), "labelings to scan", f"{n} vertices")
+    return total
 
 
 _live_reports = weakref.WeakValueDictionary()
@@ -322,26 +338,18 @@ def noncordial_orientations(
     ``failing`` int, and no ``Orientation`` is built until
     ``report.noncordial`` is read; ``jobs`` is accepted and ignored.
 
-    More than 2^22 orientations after the arc pin is refused with
-    ValueError before any scan; so, next, is n >= 27, where the pinned
-    labelings of both friendly sizes, ``_pinned_labelings(n)``, pass
-    2^24.  At the orientation cap, ``path_graph(23)`` takes about 0.8 s
-    and peaks at 54 MB, mostly its 203,940 distinct (P, B) (tracemalloc;
-    Python 3.11, 2 vCPUs).  There a report keeps one 512 KB int, and each
-    read of ``noncordial`` builds its orientations anew (0.88 MB and
-    about 25 ms per 2^14 of them).
+    ``_census_size`` refuses over 2^22 orientations after the arc pin,
+    then n >= 27 (over 2^24 pinned labelings), before any scan.  At the
+    orientation cap, ``path_graph(23)`` takes about 0.8 s and peaks at
+    54 MB, mostly its 203,940 distinct (P, B) (tracemalloc; Python 3.11,
+    2 vCPUs).  There a report keeps one 512 KB int, and each read of
+    ``noncordial`` builds its orientations anew (0.88 MB and about 25 ms
+    per 2^14 of them).
     """
     m = graph.edge_count
     t0 = time.perf_counter()
     step = 2 if symmetry.fix_arc and m > 0 else 1
-    total = (1 << m) // step
-    if total > _MAX_ORIENTATIONS:
-        scan = _to_scan(total, "orientations", f"{m} edges")
-        raise ValueError(f"{scan}, over the {_MAX_ORIENTATIONS} cap")
-    labelings = _pinned_labelings(graph.vertex_count)
-    if labelings > _MAX_LABELINGS:
-        scan = _to_scan(labelings, "labelings", f"{graph.vertex_count} vertices")
-        raise ValueError(f"{scan}, over the {_MAX_LABELINGS} cap")
+    total = _census_size(graph.vertex_count, m, step)
     failing = _failing(graph, step)
     # Equal censuses share the failure int of the first live report that
     # holds it, so kept repeats hold one copy (Petersen's is 2 KB) also
@@ -394,20 +402,15 @@ def scan_alternating_paths(n_max: int) -> list[int]:
     pruning only drops states whose counts or ones exceed the cap, and
     counts never fall, so the prefix's own reachable states are the ones
     within its caps.  Like every DP call it pins vertex 0 to label 0,
-    which complement symmetry makes exact.  An n_max whose layer of two
-    bitsets would exceed the engine's ``_DP_MAX_BITS`` is refused before
-    the path is built: a path vertex has one lower neighbour, so n_max
-    alone sizes the layout.
+    which complement symmetry makes exact.  An n_max whose two-bitset
+    layer would pass ``_DP_MAX_BITS`` is refused before the path is
+    built: a path vertex has one lower neighbour, so n_max sizes it.
     """
     if n_max < 2 or n_max % 2:
         raise ValueError("n_max must be an even integer >= 2")
     layout = _layout(n_max, n_max - 1, 1, True)
     bits = 2 * layout.size  # a path's layers hold two patterns
-    if bits > _DP_MAX_BITS:
-        raise ValueError(
-            f"n_max={n_max} needs {bits} bits per DP layer, over the "
-            f"{_DP_MAX_BITS}-bit cap"
-        )
+    _refuse_over(_DP_MAX_BITS, bits, "bits per DP layer", f"n_max of {n_max.bit_length()} bits")
     plan = _frontier_plan(n_max, alternating_path(n_max).arcs, True)[1]
     steps = _frontier_steps(plan, layout)
     failing = []
@@ -431,13 +434,12 @@ class TournamentSurvey:
 def tournament_survey(n: int) -> TournamentSurvey:
     """Check every orientation of the complete graph on n vertices.
 
-    Guarded to 1 <= n <= 6; the census size is 2^C(n,2).  The count is
-    the sum of the popcounts of the census's uncovered blocks, so no
-    orientation is listed; no labeling of K6 reaches the window, so each
-    of its blocks is counted whole.
+    The census's ``_census_size`` sizes K_n before it is built, so n >= 8
+    is refused; so is n < 1.  The count sums the popcounts of the
+    census's uncovered blocks.  From n = 6 on K_n passes the edge
+    ceiling, so no labeling reaches the window: every block counts whole.
     """
-    if not 1 <= n <= 6:
-        raise ValueError("tournament survey supports 1 <= n <= 6")
+    total = _census_size(n, comb(n, 2), 1)
     g = complete_graph(n)
     noncordial = sum(left.bit_count() for _, left in _uncovered_blocks(g, 1))
-    return TournamentSurvey(n=n, total=1 << g.edge_count, noncordial_count=noncordial)
+    return TournamentSurvey(n=n, total=total, noncordial_count=noncordial)

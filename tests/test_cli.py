@@ -30,6 +30,30 @@ def invoke(argv, stdin_text=None, monkeypatch=None):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_child(argv, dev=False, close_stdout=False):
+    """Run ``python [-X dev -W error] -m cordial *argv`` in a child process
+    on this package's ``src/``: (exit code, stdout, stderr), with a 30 s
+    timeout.  close_stdout closes the pipe before the child writes, as a
+    reader like ``| head`` can; stdout is then None."""
+    src = str(Path(cordial.__file__).parents[1])
+    flags = ["-X", "dev", "-W", "error"] if dev else []
+    with subprocess.Popen(
+        [sys.executable, *flags, "-m", "cordial", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ) as proc:
+        if close_stdout:
+            proc.stdout.close()
+        try:
+            out, err = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    return proc.returncode, out, err
+
+
 class TestGen:
     def test_gen_path_round_trips(self):
         code, out, _ = invoke(["gen", "path", "4"])
@@ -402,56 +426,58 @@ class TestClosedStdout:
     def test_exit_code_kept_and_stderr_empty(self, argv, code):
         # A reader that closes the pipe before the report is written
         # (``| head``) must not turn the verdict into a traceback.
-        src = str(Path(cordial.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "cordial", *argv],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
-        proc.stdout.close()
-        err = proc.stderr.read()
-        proc.stderr.close()
-        assert (proc.wait(timeout=60), err) == (code, b"")
+        returncode, _, err = run_child(argv, close_stdout=True)
+        assert (returncode, err) == (code, "")
 
 
 class TestCensusExitCodes:
-    """``cordial search`` in a child process in development mode with
-    warnings as errors: exit codes and the key line of each report.  A
-    row whose source is text runs on a file holding it."""
+    """Each subcommand in a child process in development mode with
+    warnings as errors: exit codes and the key line of each report or
+    refusal.  An argument holding a newline runs on a file holding it."""
 
     @pytest.mark.parametrize(
-        "source, flags, code, expected",
+        "argv, code, expected",
         [
-            ("petersen", ["--fix-first-arc", "--fix-first-label"], 1, "noncordial_count: 16384"),
-            ("complete:6", ["--fix-first-arc", "--json"], 1, '"noncordial_count": 16384,'),
-            ("path:40", [], 2, "549755813888 orientations to scan, over the 4194304 cap"),
-            ("40 2\n0 1\n1 2\n", [], 2, "68923264410 labelings to scan"),
-            ("27 2\n0 1\n1 2\n", [], 2, "20058300 labelings to scan"),
-            ("0 0\n", [], 0, "noncordial_count: 0"),
-            ("complete:170", [], 2, "at least 2^14365 orientations to scan (14365 edges)"),
-            ("20000 0\n", [], 2, "at least 2^19991 labelings to scan (20000 vertices)"),
+            (["search", "petersen", "--fix-first-arc", "--fix-first-label"], 1, "noncordial_count: 16384"),
+            (["search", "complete:6", "--fix-first-arc", "--json"], 1, '"noncordial_count": 16384,'),
+            (["search", "path:40"], 2, "549755813888 orientations to scan, over the 4194304 cap"),
+            (["search", "40 2\n0 1\n1 2\n"], 2, "68923264410 labelings to scan"),
+            (["search", "27 2\n0 1\n1 2\n"], 2, "20058300 labelings to scan"),
+            (["search", "0 0\n"], 0, "noncordial_count: 0"),
+            (["search", "complete:170"], 2, "at least 2^14365 orientations to scan (14365 edges)"),
+            (["search", "20000 0\n"], 2, "at least 2^19991 labelings to scan (20000 vertices)"),
+            (["tournaments", "7"], 1, "noncordial_count: 2097152"),
+            (["tournaments", "8"], 2, "268435456 orientations to scan, over the 4194304 cap"),
+            (["tournaments", "0"], 2, "complete graph needs at least 1 vertex"),
+            (["scan-alternating", "1000000"], 2, "bits per DP layer"),
+            # The whole line: it names the cap, not Python's 4,300-digit limit.
+            (
+                ["scan-alternating", "1" + "0" * 1500],
+                2,
+                "error: at least 2^14945 bits per DP layer (n_max of 4983 bits), over the 536870912 cap\n",
+            ),
+            # A report value that Python cannot print is an input error too.
+            (["bounds", "1" + "0" * 2200], 2, "error: "),
         ],
-        ids=["petersen", "k6", "path40", "sparse40", "sparse27", "empty", "k170", "empty20000"],
+        ids=[
+            "petersen", "k6", "path40", "sparse40", "sparse27", "empty", "k170", "empty20000",
+            "tournaments7", "tournaments8", "tournaments0", "scan-million", "scan-1501-digits",
+            "bounds-2201-digits",
+        ],
     )
-    def test_exit_code(self, tmp_path, source, flags, code, expected):
-        if "\n" in source:
-            path = tmp_path / "graph.txt"
-            path.write_text(source)
-            source = str(path)
-        src = str(Path(cordial.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-m", "cordial", "search", source, *flags],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            timeout=30,
-        )
-        assert proc.returncode == code, proc.stderr
-        assert expected in (proc.stdout if code < 2 else proc.stderr)
+    def test_exit_code(self, tmp_path, argv, code, expected):
+        argv = list(argv)
+        for i, arg in enumerate(argv):
+            if "\n" in arg:
+                path = tmp_path / "graph.txt"
+                path.write_text(arg)
+                argv[i] = str(path)
+        returncode, out, err = run_child(argv, dev=True)
+        assert returncode == code, err
+        assert expected in (out if code < 2 else err)
         # A refusal is one line on stderr; a report writes nothing there.
-        assert proc.stderr.count("\n") == (code == 2)
+        assert err.count("\n") == (code == 2)
+        assert err.startswith("error: ") == (code == 2)
 
 
 class TestVerifyPaper:

@@ -20,6 +20,7 @@ from cordial import (
     is_balanced_triple,
     is_cordial,
     is_friendly,
+    is_orientable,
     noncordial_orientations,
     orient,
     orientations,
@@ -510,6 +511,20 @@ class TestScanAlternating:
         with pytest.raises(ValueError, match="bits per DP layer"):
             scan_alternating_paths(1686)
 
+    @pytest.mark.parametrize(
+        "digits, refusal",
+        [
+            (1501, r"^at least 2\^14945 bits per DP layer \(n_max of 4983 bits\), over the 536870912 cap$"),
+            (5000, r"^at least 2\^49815 bits per DP layer \(n_max of 16607 bits\), over the 536870912 cap$"),
+        ],
+        ids=["1501-digits", "5000-digits"],
+    )
+    def test_nmax_past_4300_digits_names_the_cap(self, digits, refusal):
+        # str() refuses an int of over 4,300 digits; a 5,000-digit n_max
+        # is refused without one.
+        with pytest.raises(ValueError, match=refusal):
+            scan_alternating_paths(10 ** (digits - 1))
+
 
 def _path_dp_oracle(d):
     """Reference path DP: a set of (ones, alpha, beta, label) per vertex,
@@ -629,7 +644,23 @@ class TestTournamentSurvey:
         assert s4.noncordial_count > 0
 
     def test_guard(self):
-        with pytest.raises(ValueError):
+        # K_n is sized by the census's own caps before it is built: n = 8
+        # has 2^28 tournaments, and n < 1 is no complete graph.
+        with pytest.raises(ValueError, match="complete graph needs at least 1 vertex"):
             tournament_survey(0)
-        with pytest.raises(ValueError):
-            tournament_survey(7)
+        with pytest.raises(ValueError, match=r"^268435456 orientations to scan, over the 4194304 cap$"):
+            tournament_survey(8)
+
+    def test_oversize_refused_before_k_n_is_built(self, monkeypatch):
+        def no_build(n):
+            raise AssertionError(f"complete_graph({n}) built")
+
+        monkeypatch.setattr(search, "complete_graph", no_build)
+        refusal = r"^at least 2\^499999500000 orientations to scan \(499999500000 edges\)"
+        with pytest.raises(ValueError, match=refusal):
+            tournament_survey(10**6)
+
+    def test_seven_is_answered_by_the_edge_ceiling(self):
+        survey = tournament_survey(7)
+        assert (survey.total, survey.noncordial_count) == (2097152, 2097152)
+        assert is_orientable(complete_graph(7)) is None
