@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .engine import OrientabilityWitness, _scan_first_mask, is_orientable
+from .engine import OrientabilityWitness, _pinned_labelings, _scan_first_mask, is_orientable
 from .graphs import (
     Graph,
     bichromatic_capacity,
@@ -28,6 +28,7 @@ from .graphs import (
     max_edges,
     tight_bound_graph,
 )
+from .search import _MAX_LABELINGS, _refuse_over
 
 
 def z_value(n: int) -> int:
@@ -90,25 +91,30 @@ def verify_bound(n: int) -> BoundCheckReport:
     any that comes back orientable is collected as a violation.  The
     tight-bound construction at exactly max_edges(n) edges gets its
     witness from ``is_orientable``: the certificate answers only graphs
-    above the ceiling, so it cannot answer this one.  Guarded to
-    6 <= n <= 7, where the census sizes stay tiny.
+    above the ceiling, so it cannot answer this one.
+
+    The graphs above the ceiling, K_n less j < k = C(n,2) - max_edges(n)
+    edges, are sized first and refused over the census's cap on the pinned
+    labelings they scan (n >= 10).  From k = 64 on the count is only bounded,
+    by 2^(k-1) = sum_{j<k} C(k-1, j), times two labelings or more (n >= 3).
     """
-    if not 6 <= n <= 7:
-        raise ValueError("bound verification supports 6 <= n <= 7")
+    pairs, e_max = comb(n, 2), max_edges(n)
+    k = pairs - e_max
+    graphs = sum(comb(pairs, j) for j in range(k)) if k < 64 else 0
+    scans = graphs * _pinned_labelings(n) if graphs else 0
+    _refuse_over(_MAX_LABELINGS, scans, "labelings to scan", "{} vertices", n, k)
     all_edges = complete_graph(n).edges
-    e_max = max_edges(n)
-    checked = 0
-    violations = []
-    for m in range(e_max + 1, len(all_edges) + 1):
+    checked, violations = 0, []
+    for m in range(e_max + 1, pairs + 1):
         for combo in combinations(all_edges, m):
             checked += 1
-            g = Graph(n, combo)
-            if _scan_first_mask(n, g.edges, False) is not None:
-                violations.append(g)
-    tight = is_orientable(tight_bound_graph(n))
+            if _scan_first_mask(n, combo, False) is not None:
+                violations.append(Graph(n, combo))
+    if checked != graphs:
+        raise AssertionError(f"sized {graphs} graphs above the ceiling, scanned {checked}")
     return BoundCheckReport(
         n=n,
         graphs_checked=checked,
         violations=tuple(violations),
-        tight_witness=tight,
+        tight_witness=is_orientable(tight_bound_graph(n)),
     )

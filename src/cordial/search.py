@@ -292,14 +292,17 @@ def _failing(graph: Graph, step: int, width: int = _BLOCK_BITS) -> int:
     return _pack(graph.edge_count, _uncovered_blocks(graph, step, width))
 
 
-def _refuse_over(cap: int, number: int, what: str, size: str, log2: int = -1) -> None:
+def _refuse_over(cap: int, number: int, what: str, size: str, of: int, log2: int = -1) -> None:
     """ValueError("<number> <what>, over the <cap> cap") when number passes
     cap.  From 2^64 on, past every cap, it reads "at least 2^k <what>
-    (<size>)": str() refuses an int of over 4,300 digits.  A count 2^k too
-    large to hold comes as log2=k."""
+    (<size>)", ``of`` filled into the template ``size``; a count 2^k too
+    large to hold comes as log2=k.  str() refuses an int of over 4,300
+    digits, so a k or an ``of`` from 2^64 on is worded by its bit length."""
     k = max(log2, number.bit_length() - 1)
     if k >= 64:
-        raise ValueError(f"at least 2^{k} {what} ({size}), over the {cap} cap")
+        k = k if k < 1 << 64 else f"(2^{k.bit_length() - 1})"
+        of = of if of < 1 << 64 else f"at least 2^{of.bit_length() - 1}"
+        raise ValueError(f"at least 2^{k} {what} ({size.format(of)}), over the {cap} cap")
     if number > cap:
         raise ValueError(f"{number} {what}, over the {cap} cap")
 
@@ -310,8 +313,8 @@ def _census_size(n: int, m: int, step: int) -> int:
     the counts alone, so K_n is sized before it is built."""
     k = m - (step == 2)
     total = 1 << min(k, 64)
-    _refuse_over(_MAX_ORIENTATIONS, total, "orientations to scan", f"{m} edges", k)
-    _refuse_over(_MAX_LABELINGS, _pinned_labelings(n), "labelings to scan", f"{n} vertices")
+    _refuse_over(_MAX_ORIENTATIONS, total, "orientations to scan", "{} edges", m, k)
+    _refuse_over(_MAX_LABELINGS, _pinned_labelings(n), "labelings to scan", "{} vertices", n)
     return total
 
 
@@ -410,7 +413,7 @@ def scan_alternating_paths(n_max: int) -> list[int]:
         raise ValueError("n_max must be an even integer >= 2")
     layout = _layout(n_max, n_max - 1, 1, True)
     bits = 2 * layout.size  # a path's layers hold two patterns
-    _refuse_over(_DP_MAX_BITS, bits, "bits per DP layer", f"n_max of {n_max.bit_length()} bits")
+    _refuse_over(_DP_MAX_BITS, bits, "bits per DP layer", "n_max of {} bits", n_max.bit_length())
     plan = _frontier_plan(n_max, alternating_path(n_max).arcs, True)[1]
     steps = _frontier_steps(plan, layout)
     failing = []

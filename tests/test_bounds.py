@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from cordial import (
     Graph,
     bichromatic_capacity,
+    bounds,
     bounds_record,
     complete_graph,
     complete_graph_zero_excess,
@@ -18,6 +19,7 @@ from cordial import (
     lambda_count,
     max_edges,
     orient,
+    tournament_survey,
     verify_bound,
     z_value,
 )
@@ -153,8 +155,68 @@ class TestVerifyBound:
         assert rep.tight_witness is not None
         assert rep.tight_witness.orientation.graph.edge_count == 14
 
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            verify_bound(5)
-        with pytest.raises(ValueError):
-            verify_bound(8)
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_small_n_checks_no_graph(self, n):
+        # Below n = 6 the ceiling is clamped to C(n,2): nothing lies above it.
+        rep = verify_bound(n)
+        assert rep.graphs_checked == 0
+        assert rep.violations == ()
+        assert rep.tight_witness.orientation.graph.edge_count == max_edges(n) == comb(n, 2)
+
+    def test_n8_no_violations_and_tight_witness(self):
+        rep = verify_bound(8)
+        assert rep.graphs_checked == 407
+        assert rep.violations == ()
+        witness = rep.tight_witness
+        tight_graph = witness.orientation.graph
+        assert tight_graph.edge_count == 25
+        gam = gamma_triple(orient(tight_graph, witness.orientation), witness.labeling)
+        assert gam == witness.gamma
+        assert is_balanced_triple(gam)
+        assert is_friendly(witness.labeling)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_sized_count_is_the_enumerated_count(self, n):
+        pairs = comb(n, 2)
+        sized = sum(comb(pairs, m) for m in range(max_edges(n) + 1, pairs + 1))
+        assert verify_bound(n).graphs_checked == sized
+
+    def test_enumeration_short_of_its_size_is_an_error(self, monkeypatch):
+        def drop_first(edges, m):
+            return islice(combinations(edges, m), 1, None)
+
+        monkeypatch.setattr(bounds, "combinations", drop_first)
+        with pytest.raises(AssertionError, match=r"^sized 22 graphs above the ceiling, scanned 20$"):
+            verify_bound(7)
+
+    def test_guard(self, monkeypatch):
+        # Sized from n alone: nothing is built before the refusal.
+        monkeypatch.setattr(bounds, "complete_graph", refuse_build)
+        monkeypatch.setattr(bounds, "tight_bound_graph", refuse_build)
+        with pytest.raises(ValueError, match=r"^1200911040 labelings to scan, over the 16777216 cap$"):
+            verify_bound(10)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=r"^tight bound construction needs n >= 3$"):
+            verify_bound(2)
+
+    def test_n_past_2200_digits_names_the_cap(self, monkeypatch):
+        # The exponents themselves pass 2^64, so they are worded by their
+        # bit length; neither C(n - 1, n/2) nor the graph count is evaluated.
+        monkeypatch.setattr(bounds, "_pinned_labelings", refuse_build)
+        n = 10**2200
+        refusal = (
+            r"^at least 2\^\(2\^14613\) labelings to scan \(at least 2\^7308 vertices\), "
+            r"over the 16777216 cap$"
+        )
+        with pytest.raises(ValueError, match=refusal):
+            verify_bound(n)
+        refusal = (
+            r"^at least 2\^\(2\^14615\) orientations to scan \(at least 2\^14615 edges\), "
+            r"over the 4194304 cap$"
+        )
+        with pytest.raises(ValueError, match=refusal):
+            tournament_survey(n)
+
+
+def refuse_build(*args):
+    raise AssertionError("built or counted before the size check")

@@ -309,9 +309,10 @@ class TestBounds:
         assert "tight_witness_found: true" in out
 
     def test_verify_bound_guard(self):
-        code, _, err = invoke(["verify-bound", "5"])
-        assert code == 2
-        assert "error" in err
+        # Below n = 6 no graph lies above the ceiling: nothing to refuse.
+        code, out, err = invoke(["verify-bound", "5"])
+        assert (code, err) == (0, "")
+        assert "graphs_checked: 0" in out
 
 
 class TestQcheck:
@@ -458,11 +459,38 @@ class TestCensusExitCodes:
             ),
             # A report value that Python cannot print is an input error too.
             (["bounds", "1" + "0" * 2200], 2, "error: "),
+            (["verify-bound", "8"], 0, "violations: 0\ntight_witness_found: true\ntight_edges: 25\n"),
+            (["verify-bound", "9"], 0, "graphs_checked: 66712"),
+            (["verify-bound", "10"], 2, "error: 1200911040 labelings to scan, over the 16777216 cap\n"),
+            # The whole lines: the exponents pass 2^64 and are worded by
+            # their bit length, so each refusal names its cap.
+            (
+                ["verify-bound", "1" + "0" * 2200],
+                2,
+                "error: at least 2^(2^14613) labelings to scan (at least 2^7308 vertices), "
+                "over the 16777216 cap\n",
+            ),
+            (
+                ["tournaments", "1" + "0" * 2200],
+                2,
+                "error: at least 2^(2^14615) orientations to scan (at least 2^14615 edges), "
+                "over the 4194304 cap\n",
+            ),
+            # Answered at once: K40 by the edge ceiling, the path by the frontier DP.
+            (["check-graph", "complete:40"], 1, "orientable: false"),
+            (["check-digraph", "alternating_path:34"], 1, "cordial: false"),
+            (
+                ["qcheck", "alternating_path:6", "--table", "no-such-dir/z3.txt", "--subset", "0,1"],
+                2,
+                "error: [Errno 2] No such file or directory: 'no-such-dir/z3.txt'\n",
+            ),
         ],
         ids=[
             "petersen", "k6", "path40", "sparse40", "sparse27", "empty", "k170", "empty20000",
             "tournaments7", "tournaments8", "tournaments0", "scan-million", "scan-1501-digits",
-            "bounds-2201-digits",
+            "bounds-2201-digits", "verify-bound8", "verify-bound9", "verify-bound10",
+            "verify-bound-2201-digits", "tournaments-2201-digits", "complete40", "alternating34",
+            "qcheck-missing-table",
         ],
     )
     def test_exit_code(self, tmp_path, argv, code, expected):

@@ -416,9 +416,19 @@ CASES = [
     (
         ['verify-bound', '5'],
         None,
-        2,
+        0,
+        (
+            'command: verify-bound\n'
+            'input.n: 5\n'
+            'graphs_checked: 0\n'
+            'violations: 0\n'
+            'tight_witness_found: true\n'
+            'tight_edges: 10\n'
+            'tight_labeling: 01100\n'
+            'tight_orientation: 0000010000\n'
+            'timing_seconds: <t>\n'
+        ),
         '',
-        'error: bound verification supports 6 <= n <= 7\n',
     ),
     (
         ['qcheck', 'alternating_path:6', '--table', 'z3.txt', '--subset', '0,1'],
