@@ -18,10 +18,10 @@ normalized to label vertex 0 with 0.
 
 ``is_cordial`` and ``is_orientable`` only build their reports from the
 mask of ``_first_mask``.  It applies the certificates first (an input
-with more edges than ``max_edges(n)`` is answered None without a scan)
-and hands every other input to one of two searches with one contract,
-``(n, pairs, directed) -> first mask or None``, chosen by an estimate
-of their work read off the DP's own plan:
+with more edges than ``max_edges(n)`` is answered None without a scan),
+refuses an input of 32,767 vertices or more, and hands every other
+input to one of two searches, chosen by an estimate of their work read
+off the DP's own plan:
 
 - The kernel, ``_scan_first_mask`` over ``_sliced_leaves``, tests
   friendly labelings 2^b at a time, bit-sliced (Biham 1997): lane k of
@@ -41,18 +41,18 @@ of their work read off the DP's own plan:
   inputs, places the vertices in natural order and keeps one int bitset
   per label pattern of the frontier: the placed vertices that still
   have an unplaced neighbour.  Every DP call pins vertex 0 to label 0.
-  ``_frontier_plan`` reads the pairs in one pass, sizes the layout and
-  yields each vertex's width and step key lazily; ``_first_mask`` routes
-  on those widths, and only a DP-routed call builds the steps, from the
-  keys it read, so it reads its pairs once and a kernel-routed call
-  builds no step.  ``_layout`` alone knows where a state sits
-  in a bitset: (ones used, alpha, beta) for digraphs, (ones used,
-  lambda) for graphs, whose bitsets are so about m/3 times smaller.
-  It costs about n * (n/2) * 2^w for frontier width w: paths have
-  w = 1, so ``is_cordial(alternating_path(22))`` takes about 0.07 ms
-  instead of the kernel's 0.7 ms.  Its witness walk, ``_frontier_walk``,
-  is also ``search.path_cordial_dp``'s, and ``_frontier_layers`` the
-  layer builder of ``search.scan_alternating_paths``.
+  Every DP caller drives its three stages: ``_frontier_plan`` reads the
+  pairs in one pass, sizes the layout and yields each vertex's width and
+  step key lazily; ``_frontier_layers`` alone builds steps from those
+  keys and yields each vertex's step and layer; ``_frontier_walk`` alone
+  walks them to a mask.  ``_first_mask`` routes on the plan's widths and
+  walks only what it read, so it reads its pairs once and a
+  kernel-routed call builds no step.  ``_layout`` alone knows where a
+  state sits in a bitset: (ones used, alpha, beta) for digraphs, (ones
+  used, lambda) for graphs, whose bitsets are so about m/3 times
+  smaller.  It costs about n * (n/2) * 2^w for frontier width w: paths
+  have w = 1, so ``is_cordial(alternating_path(22))`` takes about
+  0.07 ms instead of the kernel's 0.7 ms.
 """
 
 from __future__ import annotations
@@ -147,7 +147,8 @@ def is_cordial(digraph: Digraph) -> LabelingReport | None:
     order (vertex 0 pinned to label 0), or None when the digraph is not
     (2,3)-cordial, without a scan when it has more arcs than max_edges(n).
     Inputs the frontier DP answers more cheaply go to it (see
-    ``_first_mask``); both routes return the same witness.
+    ``_first_mask``); both routes return the same witness.  Any other
+    input of 32,767 vertices or more raises ValueError.
     """
     mask = _first_mask(digraph.vertex_count, digraph.arcs, True)
     if mask is None:
@@ -164,20 +165,24 @@ def _first_mask(
     """The first mask both deciders report, or None when there is none.
 
     Certificates come first: more pairs than ``max_edges(n)`` leave no
-    friendly labeling a balanced triple, so no search starts.  The
-    frontier DP costs about n * (n/2) * 2^w for frontier width w (bitsets
-    of n/2 ones rows, 2^w patterns per vertex) and the kernel reads up to
+    friendly labeling a balanced triple, so no search starts.  From
+    n = 32,767 on, even the layers of no pair pass ``_DP_MAX_BITS``, which
+    leaves only the exponential kernel: ValueError, before a list of n
+    entries or the budget is built.  The frontier DP costs about
+    n * (n/2) * 2^w for frontier width w (bitsets of n/2 ones rows, 2^w
+    patterns per vertex) and the kernel reads up to
     ``_pinned_labelings(n)`` labelings, the budget once divided by
     ``_LABELINGS_PER_DP_UNIT``.  An input whose DP would reach the budget
     even at w = 0 stays on the kernel without a plan.  Every other one
-    reads the widths of ``_frontier_plan`` until one reaches the
-    budget or the layers would pass ``_DP_MAX_BITS`` (kernel); otherwise
-    the DP walks the plan just read.  The widths come from the steps'
-    keys, so a kernel-routed input builds no step.  Both searches return
-    the same mask.
+    reads the widths of ``_frontier_plan`` until one reaches the budget
+    or the layers would pass ``_DP_MAX_BITS`` (kernel); otherwise
+    ``_frontier_walk`` walks the plan just read.  The widths come from
+    the steps' keys, so a kernel-routed input builds no step.  Both
+    searches return the same mask.
     """
     if n >= 2 and len(pairs) > max_edges(n):
         return None
+    _refuse_over(_DP_MAX_BITS, _least_layer_bits(n), "bits of DP layers", "{} vertices", n)
     budget = _pinned_labelings(n) // _LABELINGS_PER_DP_UNIT
     unit = n * (n // 2)
     if unit < budget:
@@ -200,6 +205,21 @@ def _pinned_labelings(n: int) -> int:
     if n == 0:
         return 1
     return sum(comb(n - 1, k) for k in {n // 2, (n + 1) // 2})
+
+
+def _refuse_over(cap: int, number: int, what: str, size: str, of: int, log2: int = -1) -> None:
+    """ValueError("<number> <what>, over the <cap> cap") when number passes
+    cap.  From 2^64 on, past every cap, it reads "at least 2^k <what>
+    (<size>)", ``of`` filled into the template ``size``; a count 2^k too
+    large to hold comes as log2=k.  str() refuses an int of over 4,300
+    digits, so a k or an ``of`` from 2^64 on is worded by its bit length."""
+    k = max(log2, number.bit_length() - 1)
+    if k >= 64:
+        k = k if k < 1 << 64 else f"(2^{k.bit_length() - 1})"
+        of = of if of < 1 << 64 else f"at least 2^{of.bit_length() - 1}"
+        raise ValueError(f"at least 2^{k} {what} ({size.format(of)}), over the {cap} cap")
+    if number > cap:
+        raise ValueError(f"{number} {what}, over the {cap} cap")
 
 
 def _balanced(m: int) -> dict[int, set[int]]:
@@ -509,7 +529,8 @@ def is_orientable(graph: Graph) -> OrientabilityWitness | None:
     to 0) in ascending mask order whose monochromatic edge count lands in
     the balanced window.  A graph with more edges than max_edges(n) is
     answered None without a scan; inputs the frontier DP answers more
-    cheaply go to it (see ``_first_mask``), with the same witness.
+    cheaply go to it (see ``_first_mask``), with the same witness.  Any
+    other graph of 32,767 vertices or more raises ValueError.
     """
     mask = _first_mask(graph.vertex_count, graph.edges, False)
     if mask is None:
@@ -595,10 +616,16 @@ def _layout(n: int, m: int, links: int, directed: bool) -> _Layout:
     return _Layout(directed, cap, max_ones, width, one, shifts, (max_ones + 1) * one)
 
 
-# One vertex's step: (w', moves).  Each move (q, sources) lists the
-# (p, x, shift) that send frontier pattern p before the vertex, labeled
-# x, to pattern q after it, shifting the bitset by shift.
-Step = tuple[int, tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]]
+def _least_layer_bits(n: int) -> int:
+    """The bits of the DP layers of n vertices and no pair, the fewest of
+    any input of n vertices: no layout is smaller than the one of no pair."""
+    return n * _layout(n, 0, 0, False).size
+
+
+# One vertex's step, its moves: each (q, sources) lists the (p, x, shift)
+# that send frontier pattern p before the vertex, labeled x, to pattern q
+# after it, shifting the bitset by shift.
+Step = tuple[tuple[int, tuple[tuple[int, int, int], ...]], ...]
 # What a step is built from: ``_frontier_step``'s first four arguments.
 StepKey = tuple[tuple[bool, ...], bool, tuple[tuple[int, bool], ...], bool]
 
@@ -609,7 +636,7 @@ def _frontier_plan(
     """The frontier DP's one pass over the pairs: the layout of n vertices
     and the pairs, and a lazy iterator over (w', key) for each vertex i in
     natural order, w' its frontier width after i and key what its step is
-    built from (``_frontier_steps``), so a caller can stop at the first
+    built from (``_frontier_layers``), so a caller can stop at the first
     vertex too wide without building a step.
 
     The pass finds each vertex's highest neighbour (the vertex itself if
@@ -652,27 +679,6 @@ def _frontier_plan(
     return layout, plan()
 
 
-def _frontier_steps(
-    plan: Iterable[tuple[int, StepKey]], layout: _Layout
-) -> list[Step]:
-    """The step of each (w', key) of ``plan``.  Vertices whose frontier
-    looks the same share one step (the inner vertices of a path use two).
-    Steps of frontiers up to ``_CACHED_STEP_WIDTH`` wide are also shared
-    across calls; a wider one, with up to 2^(w + 1) sources for a
-    frontier w wide, is built for this call only."""
-    known: dict[StepKey, Step] = {}
-    steps = []
-    for _, key in plan:
-        step = known.get(key)
-        if step is None:
-            build = _frontier_step
-            if len(key[0]) > _CACHED_STEP_WIDTH:
-                build = _frontier_step.__wrapped__
-            step = known[key] = build(*key, layout.shifts, layout.one)
-        steps.append(step)
-    return steps
-
-
 # The widest frontier whose steps ``_frontier_step`` keeps, at most 128
 # of them with at most 2^7 sources each.  The 1,022 oriented paths of
 # verify's path-dp-crosscheck share 15 steps: their DP loop took 66 ms
@@ -704,45 +710,52 @@ def _frontier_step(
             for j, k in enumerate(kept):
                 q |= (p >> k & 1) << j
             moves.setdefault(q, []).append((p, x, shift))
-    return len(kept) + joins, tuple((q, tuple(s)) for q, s in moves.items())
+    return tuple((q, tuple(s)) for q, s in moves.items())
 
 
-def _frontier_layers(plan: Iterable[Step], valid: int) -> Iterator[list[int]]:
-    """Reachable states after each vertex of ``plan``, one layer per vertex.
+def _frontier_layers(
+    plan: Iterable[tuple[int, StepKey]], layout: _Layout
+) -> Iterator[tuple[Step, list[int]]]:
+    """Each vertex's step, built from its (w', key) in ``plan``, and the
+    reachable states after it.  Vertices whose frontier looks the same
+    share one step (the inner vertices of a path use two); steps of
+    frontiers up to ``_CACHED_STEP_WIDTH`` wide are shared across calls
+    too, and a wider one, with up to 2^(w + 1) sources, per call only.
 
     Entry p of the layer after vertex i is one int over (ones, counts):
     its bits mark what the labelings of vertices 0..i with frontier
-    labels p reach.  ``valid`` masks the ones and counts kept (the caps),
-    so a vertex is a shift, an OR and a mask per pattern.  Counts never
-    fall and ones never exceed its cap in a friendly labeling, so pruning
-    loses no completion.  Each layer is a new list.
+    labels p reach.  ``layout.valid()`` masks the ones and counts kept
+    (the caps), so a vertex is a shift, an OR and a mask per pattern.
+    Counts never fall and ones never exceed its cap in a friendly
+    labeling, so pruning loses no completion.  Each layer is a new list.
     """
+    valid = layout.valid()
+    known: dict[StepKey, Step] = {}
     layer = [1]
-    for w2, moves in plan:
+    # Read whole first: resuming the plan between layers ran 3-4% slower.
+    for w2, key in list(plan):
+        step = known.get(key)
+        if step is None:
+            build = _frontier_step
+            if len(key[0]) > _CACHED_STEP_WIDTH:
+                build = _frontier_step.__wrapped__
+            step = known[key] = build(*key, layout.shifts, layout.one)
         nxt = [0] * (1 << w2)
-        for q, sources in moves:
+        for q, sources in step:
             reached = 0
             for p, _, shift in sources:
                 reached |= layer[p] << shift
             nxt[q] = reached & valid
         layer = nxt
-        yield layer
-
-
-def _frontier_first_mask(
-    n: int, pairs: tuple[tuple[int, int], ...], directed: bool
-) -> int | None:
-    """``_scan_first_mask``'s mask, computed by the frontier DP whatever
-    the size."""
-    layout, plan = _frontier_plan(n, pairs, directed)
-    return _frontier_walk(list(plan), layout, layout.goal(n, len(pairs)))
+        yield step, layer
 
 
 def _frontier_walk(
-    plan: list[tuple[int, StepKey]], layout: _Layout, goal: int
+    plan: Iterable[tuple[int, StepKey]], layout: _Layout, goal: int
 ) -> int | None:
     """The first friendly mask in ascending order, vertex 0 pinned to 0,
-    whose states after the last vertex of ``plan`` meet ``goal``.
+    whose states after the last vertex of ``plan`` meet ``goal``.  It
+    keeps every step and layer of ``_frontier_layers``.
 
     The first mask is found by walking from the last vertex down with one
     target bitset per frontier pattern (the reachable ones and counts
@@ -753,18 +766,17 @@ def _frontier_walk(
     >> shift) is exactly the reachable states that the vertex's label
     takes into the target: no re-mask is needed.
     """
-    steps = _frontier_steps(plan, layout)
-    layers = [[1], *_frontier_layers(steps, layout.valid())]
+    walked = list(_frontier_layers(plan, layout))
+    layers = [[1]] + [layer for _, layer in walked]
     target = [goal]
-    if not layers[-1][0] & target[0]:
+    if not layers[-1][0] & goal:
         return None
     mask = 0
-    for i in range(len(steps) - 1, -1, -1):
-        moves = steps[i][1]
+    for i in range(len(walked) - 1, -1, -1):
         before = layers[i]
         for label in (0, 1):
             pulled = [0] * len(before)
-            for q, sources in moves:
+            for q, sources in walked[i][0]:
                 for p, x, shift in sources:
                     if x == label:
                         pulled[p] = before[p] & (target[q] >> shift)

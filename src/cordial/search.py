@@ -16,10 +16,11 @@ The path DP is the engine's frontier DP, whose layers on a path keep one
 bitset per label of the last vertex over the reachable (ones used, +1
 count, -1 count), laid out by the engine's ``_layout``, so an arc is a
 shift of the whole set, not a loop over states.  ``path_cordial_dp``
-checks the path order and returns the engine's witness.  Arc j of an
-alternating path depends on j alone, so
-``alternating_path(n)`` is the first n vertices of any longer one, and
-``scan_alternating_paths`` reads every size's verdict from one pass.
+checks the path order and returns the witness of the engine's one mask
+walk, ``_frontier_walk``, without ``is_cordial``'s layer cap.  Arc j of
+an alternating path depends on j alone, so ``alternating_path(n)`` is
+the first n vertices of any longer one, and ``scan_alternating_paths``
+reads every size's verdict from one pass of ``_frontier_layers``.
 """
 
 from __future__ import annotations
@@ -35,13 +36,14 @@ from typing import Iterable, Iterator
 from .engine import (
     _DP_MAX_BITS,
     _balanced,
-    _frontier_first_mask,
     _frontier_layers,
     _frontier_plan,
-    _frontier_steps,
+    _frontier_walk,
     _lane_bits,
     _layout,
+    _least_layer_bits,
     _pinned_labelings,
+    _refuse_over,
     _sliced_leaves,
 )
 from .graphs import (
@@ -286,27 +288,6 @@ def _pack(m: int, blocks: Iterable[tuple[int, int]]) -> int:
     return int.from_bytes(b"".join(w.to_bytes(8, "little") for w in words), "little")
 
 
-def _failing(graph: Graph, step: int, width: int = _BLOCK_BITS) -> int:
-    """Every step-th orientation that no labeling certifies, as one int:
-    bit b is set when orientation b fails."""
-    return _pack(graph.edge_count, _uncovered_blocks(graph, step, width))
-
-
-def _refuse_over(cap: int, number: int, what: str, size: str, of: int, log2: int = -1) -> None:
-    """ValueError("<number> <what>, over the <cap> cap") when number passes
-    cap.  From 2^64 on, past every cap, it reads "at least 2^k <what>
-    (<size>)", ``of`` filled into the template ``size``; a count 2^k too
-    large to hold comes as log2=k.  str() refuses an int of over 4,300
-    digits, so a k or an ``of`` from 2^64 on is worded by its bit length."""
-    k = max(log2, number.bit_length() - 1)
-    if k >= 64:
-        k = k if k < 1 << 64 else f"(2^{k.bit_length() - 1})"
-        of = of if of < 1 << 64 else f"at least 2^{of.bit_length() - 1}"
-        raise ValueError(f"at least 2^{k} {what} ({size.format(of)}), over the {cap} cap")
-    if number > cap:
-        raise ValueError(f"{number} {what}, over the {cap} cap")
-
-
 def _census_size(n: int, m: int, step: int) -> int:
     """The 2^m / step orientations a census of n vertices and m edges
     scans, refused over 2^22 or over 2^24 pinned labelings.  Read from
@@ -314,7 +295,12 @@ def _census_size(n: int, m: int, step: int) -> int:
     k = m - (step == 2)
     total = 1 << min(k, 64)
     _refuse_over(_MAX_ORIENTATIONS, total, "orientations to scan", "{} edges", m, k)
-    _refuse_over(_MAX_LABELINGS, _pinned_labelings(n), "labelings to scan", "{} vertices", n)
+    if _least_layer_bits(n) > _DP_MAX_BITS:
+        # C(n-1, about n/2), the largest of n terms summing to 2^(n-1).
+        labelings, log2 = 0, n - 1 - (n - 1).bit_length()
+    else:
+        labelings, log2 = _pinned_labelings(n), -1
+    _refuse_over(_MAX_LABELINGS, labelings, "labelings to scan", "{} vertices", n, log2)
     return total
 
 
@@ -337,12 +323,13 @@ def noncordial_orientations(
     the result.  ``_uncovered_blocks`` reads the labelings once and scans
     the orientations in blocks of 2^6: one OR per high (P, B) certifies
     up to 64 of them at once, and a block stops at the first OR that
-    fills it.  ``_failing`` packs the blocks left into the report's
+    fills it.  ``_pack`` packs the blocks left into the report's
     ``failing`` int, and no ``Orientation`` is built until
     ``report.noncordial`` is read; ``jobs`` is accepted and ignored.
 
     ``_census_size`` refuses over 2^22 orientations after the arc pin,
-    then n >= 27 (over 2^24 pinned labelings), before any scan.  At the
+    then n >= 27 (over 2^24 pinned labelings), before any scan; from
+    n = 32,767 on it bounds that count instead of computing it.  At the
     orientation cap, ``path_graph(23)`` takes about 0.8 s and peaks at
     54 MB, mostly its 203,940 distinct (P, B) (tracemalloc; Python 3.11,
     2 vCPUs).  There a report keeps one 512 KB int, and each read of
@@ -353,7 +340,7 @@ def noncordial_orientations(
     t0 = time.perf_counter()
     step = 2 if symmetry.fix_arc and m > 0 else 1
     total = _census_size(graph.vertex_count, m, step)
-    failing = _failing(graph, step)
+    failing = _pack(m, _uncovered_blocks(graph, step))
     # Equal censuses share the failure int of the first live report that
     # holds it, so kept repeats hold one copy (Petersen's is 2 KB) also
     # when a repeat in between is dropped at once.
@@ -376,12 +363,12 @@ def path_cordial_dp(digraph: Digraph) -> VertexLabeling | None:
     """Polynomial-time cordiality decision for an oriented path.
 
     The underlying graph must be the path 0 - 1 - ... - (n-1) with arcs
-    listed in path order.  The answer is ``is_cordial``'s, from the
-    engine's frontier DP (``_frontier_first_mask``): the first friendly
-    labeling in ascending mask order, vertex 0 labeled 0, with a balanced
-    triple, or None.  Unlike ``is_cordial``, which sends paths whose
-    layers pass ``_DP_MAX_BITS`` to the kernel, it has no cap: the layers
-    it keeps grow about as n^4, 43 MiB at n = 250 and 90 MiB at n = 300
+    listed in path order.  The answer is ``is_cordial``'s, the first
+    friendly labeling in ascending mask order, vertex 0 labeled 0, with a
+    balanced triple, or None, from ``_frontier_walk`` over the whole plan.
+    Unlike ``is_cordial``, which sends paths whose layers pass
+    ``_DP_MAX_BITS`` to the kernel, it has no cap: the layers it keeps
+    grow about as n^4, 43 MiB at n = 250 and 90 MiB at n = 300
     (tracemalloc peak; 0.13 s and 0.36 s, Python 3.11, 2 vCPUs).
     """
     n = digraph.vertex_count
@@ -391,7 +378,8 @@ def path_cordial_dp(digraph: Digraph) -> VertexLabeling | None:
     for j, (t, h) in enumerate(arcs):
         if {t, h} != {j, j + 1}:
             raise ValueError("input is not an oriented path in path order")
-    mask = _frontier_first_mask(n, arcs, True)
+    layout, plan = _frontier_plan(n, arcs, True)
+    mask = _frontier_walk(plan, layout, layout.goal(n, n - 1))
     return None if mask is None else VertexLabeling(n, mask)
 
 
@@ -415,9 +403,8 @@ def scan_alternating_paths(n_max: int) -> list[int]:
     bits = 2 * layout.size  # a path's layers hold two patterns
     _refuse_over(_DP_MAX_BITS, bits, "bits per DP layer", "n_max of {} bits", n_max.bit_length())
     plan = _frontier_plan(n_max, alternating_path(n_max).arcs, True)[1]
-    steps = _frontier_steps(plan, layout)
     failing = []
-    for n, layer in enumerate(_frontier_layers(steps, layout.valid()), start=1):
+    for n, (_, layer) in enumerate(_frontier_layers(plan, layout), start=1):
         if n % 2 == 0:
             goal = layout.goal(n, n - 1)
             if not any(s & goal for s in layer):

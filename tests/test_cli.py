@@ -479,6 +479,15 @@ class TestCensusExitCodes:
             # Answered at once: K40 by the edge ceiling, the path by the frontier DP.
             (["check-graph", "complete:40"], 1, "orientable: false"),
             (["check-digraph", "alternating_path:34"], 1, "cordial: false"),
+            # A billion vertices and no edge: refused from the counts, before
+            # any list of a billion entries or any binomial of that size.
+            (["check-graph", "1000000000 0\n"], 2, "bits of DP layers, over the 536870912 cap"),
+            (["check-digraph", "1000000000 0\n"], 2, "bits of DP layers, over the 536870912 cap"),
+            (
+                ["search", "1000000000 0\n"],
+                2,
+                "at least 2^999999969 labelings to scan (1000000000 vertices), over the 16777216 cap",
+            ),
             (
                 ["qcheck", "alternating_path:6", "--table", "no-such-dir/z3.txt", "--subset", "0,1"],
                 2,
@@ -490,6 +499,7 @@ class TestCensusExitCodes:
             "tournaments7", "tournaments8", "tournaments0", "scan-million", "scan-1501-digits",
             "bounds-2201-digits", "verify-bound8", "verify-bound9", "verify-bound10",
             "verify-bound-2201-digits", "tournaments-2201-digits", "complete40", "alternating34",
+            "check-graph-billion", "check-digraph-billion", "search-billion",
             "qcheck-missing-table",
         ],
     )

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import time
 from math import comb
 
 import pytest
@@ -407,10 +408,17 @@ def sparse_digraph(n, seed, degree=3.0):
     return Digraph(n, tuple(arcs))
 
 
+def dp_mask(n, pairs, directed):
+    """The frontier DP's first mask whatever the size: its plan, then the
+    walk over the plan's layers."""
+    layout, plan = engine._frontier_plan(n, pairs, directed)
+    return engine._frontier_walk(plan, layout, layout.goal(n, len(pairs)))
+
+
 def assert_graph_routes_agree(g):
     """The DP and the kernel give the same first mask on a graph."""
     n = g.vertex_count
-    dp = engine._frontier_first_mask(n, g.edges, False)
+    dp = dp_mask(n, g.edges, False)
     assert dp == scan_mask(n, g.edges, False)
 
 
@@ -418,7 +426,7 @@ def assert_routes_agree(d):
     """The DP and the kernel give the same first mask on a digraph and on
     its underlying graph."""
     n = d.vertex_count
-    assert engine._frontier_first_mask(n, d.arcs, True) == scan_mask(n, d.arcs, True)
+    assert dp_mask(n, d.arcs, True) == scan_mask(n, d.arcs, True)
     assert_graph_routes_agree(make_graph(n, d.arcs))
 
 
@@ -522,6 +530,28 @@ class TestRouting:
             assert witness_mask(is_cordial(d)) == scan_mask(n, d.arcs, True)
 
 
+class TestVertexCap:
+    """From n = 32,767 on, even the layers of no pair pass _DP_MAX_BITS,
+    which leaves only the exponential kernel: such inputs are refused
+    from their vertex count, before the kernel's budget is counted."""
+
+    def test_billion_vertices_refused_at_once(self, monkeypatch):
+        monkeypatch.setattr(engine, "_pinned_labelings", refuse_scan)
+        refusal = r"^500000001000000000 bits of DP layers, over the 536870912 cap$"
+        for decide, g in ((is_orientable, Graph(10**9, ())), (is_cordial, Digraph(10**9, ()))):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match=refusal):
+                decide(g)
+            assert time.perf_counter() - t0 < 0.5
+
+    def test_largest_vertex_count_still_answered(self):
+        least = engine._least_layer_bits
+        assert least(32766) <= engine._DP_MAX_BITS < least(32767)
+        with pytest.raises(ValueError, match=r"^536887295 bits of DP layers"):
+            is_orientable(Graph(32767, ()))
+        assert is_orientable(Graph(32766, ())) is not None
+
+
 def banded(n, seed, directed):
     """Random pairs at most three apart, so the frontier width is at most 3."""
     rng = random.Random(seed)
@@ -540,8 +570,7 @@ class TestLayout:
     def test_layers_fit_the_size_dp_pays_counts(self, monkeypatch, n, directed):
         pairs = banded(n, n, directed)
         layout, plan = engine._frontier_plan(n, pairs, directed)
-        steps = engine._frontier_steps(plan, layout)
-        layers = list(engine._frontier_layers(steps, layout.valid()))
+        layers = [layer for _, layer in engine._frontier_layers(plan, layout)]
         assert all(s.bit_length() <= layout.size for layer in layers for s in layer)
         # Odd n reaches ceil(n/2) ones, one row more than n // 2 + 1 holds.
         assert max(s.bit_length() for s in layers[-1]) > layout.size - layout.one
@@ -561,9 +590,9 @@ class TestLayout:
         narrow = {key for key in keys if len(key[0]) <= engine._CACHED_STEP_WIDTH}
         assert 0 < len(narrow) < len(keys)
         engine._frontier_step.cache_clear()
-        first = engine._frontier_first_mask(n, pairs, False)
+        first = dp_mask(n, pairs, False)
         assert engine._frontier_step.cache_info().currsize == len(narrow)
-        assert engine._frontier_first_mask(n, pairs, False) == first
+        assert dp_mask(n, pairs, False) == first
         assert engine._frontier_step.cache_info().hits == len(narrow)
 
 
@@ -624,9 +653,7 @@ class TestOneDecision:
     def test_dp_route_reads_its_pairs_once(self, monkeypatch, n, pairs, directed):
         monkeypatch.setattr(engine, "_sliced_leaves", refuse_scan)
         counted = CountingPairs(pairs)
-        assert engine._first_mask(n, counted, directed) == engine._frontier_first_mask(
-            n, pairs, directed
-        )
+        assert engine._first_mask(n, counted, directed) == dp_mask(n, pairs, directed)
         assert counted.reads == 1
 
     def test_route_matches_the_plain_rule(self, monkeypatch):

@@ -259,6 +259,11 @@ def _friendly_masks(n):
     return [mask for mask in range(1 << n) if mask.bit_count() in {n // 2, (n + 1) // 2}]
 
 
+def packed(g, step, width=search._BLOCK_BITS):
+    """The census's failure int: its uncovered blocks, packed."""
+    return search._pack(g.edge_count, search._uncovered_blocks(g, step, width))
+
+
 def _loop_failing_bits(g, step):
     """Oracle: the plain census.  Every friendly mask, unpinned, gives B
     (the edges whose ends differ) and P (those of B whose second end is
@@ -312,7 +317,7 @@ class TestBlockedCensusAgainstLoop:
         # the width; m = 0 is one block of one orientation.
         step = 2 if pin_arc and g.edge_count else 1
         want = _loop_failing_bits(g, step)
-        assert search._failing(g, step, width) == sum(1 << b for b in want)
+        assert packed(g, step, width) == sum(1 << b for b in want)
         blocks = list(search._uncovered_blocks(g, step, width))
         w = min(width, g.edge_count)
         bases = [base for base, _ in blocks]
@@ -329,7 +334,7 @@ class TestBlockedCensusAgainstLoop:
     def test_small_and_empty(self, g, width):
         for step in (1, 2) if g.edge_count else (1,):
             want = _loop_failing_bits(g, step)
-            assert search._failing(g, step, width) == sum(1 << b for b in want)
+            assert packed(g, step, width) == sum(1 << b for b in want)
 
     def test_graph_without_triples_yields_whole_blocks(self):
         # No friendly labeling of Petersen has lambda = 5, the only count
@@ -350,7 +355,7 @@ class TestBlockedCensusAgainstLoop:
         blocks = lambda g, step, width: ((i << 6, whole) for i in range(1 << 16))
         monkeypatch.setattr(search, "_uncovered_blocks", blocks)
         t0 = time.perf_counter()
-        failing = search._failing(path_graph(23), 1)
+        failing = packed(path_graph(23), 1)
         assert time.perf_counter() - t0 < 2
         assert failing == (1 << 2**22) - 1
 
@@ -410,9 +415,25 @@ class TestCensusCap:
         with pytest.raises(ValueError, match=r"^at least 2\^64 orientations to scan \(64 edges\)"):
             noncordial_orientations(path_graph(65))
 
+    def test_billion_vertices_refused_before_the_binomial(self, monkeypatch):
+        # From n = 32,767 on the count is bounded below by 2^(n-1) / n,
+        # not computed; below it is computed and given in full.
+        monkeypatch.setattr(search, "_sliced_leaves", refuse_scan)
+        monkeypatch.setattr(search, "_pinned_labelings", refuse_scan)
+        refusal = r"^at least 2\^999999969 labelings to scan \(1000000000 vertices\), over the 16777216 cap$"
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=refusal):
+            noncordial_orientations(Graph(10**9, ()))
+        assert time.perf_counter() - t0 < 0.5
+        with pytest.raises(ValueError, match=r"^at least 2\^32751 labelings to scan \(32767 vertices\)"):
+            noncordial_orientations(Graph(32767, ()))
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match=r"^at least 2\^32757 labelings to scan \(32766 vertices\)"):
+            noncordial_orientations(Graph(32766, ()))
+
     def test_largest_admitted_labeling_scan(self, monkeypatch):
         # C(25, 13) is under 2^24, so n = 26 is scanned.
-        monkeypatch.setattr(search, "_failing", lambda g, step: 0)
+        monkeypatch.setattr(search, "_uncovered_blocks", lambda g, step: iter(()))
         rep = noncordial_orientations(Graph(26, ((0, 1), (1, 2))))
         assert rep.total_orientations_scanned == 4
 
@@ -423,7 +444,7 @@ class TestCensusCap:
 
     def test_cap_counts_after_the_arc_pin(self, monkeypatch):
         # 2^22 orientations of a 23-edge graph once bit 0 is pinned.
-        monkeypatch.setattr(search, "_failing", lambda g, step: 0)
+        monkeypatch.setattr(search, "_uncovered_blocks", lambda g, step: iter(()))
         rep = noncordial_orientations(path_graph(24), SymmetryMode.FIX_FIRST_ARC)
         assert rep.total_orientations_scanned == 1 << 22
 
