@@ -24,6 +24,7 @@ from .graphs import _GENERATORS, Digraph, Graph, named, parse_text, to_text
 from .quasigroup import CordialInstance, is_subset_q_cordial, parse_cayley_text
 from .search import (
     SymmetryMode,
+    _census_size,
     noncordial_orientations,
     scan_alternating_paths,
     tournament_survey,
@@ -67,8 +68,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _resolve_source(source: str) -> Union[Graph, Digraph]:
-    """Load a graph or digraph from a file, stdin, or a generator name."""
+def _resolve_source(source: str, size=None) -> Union[Graph, Digraph]:
+    """Load a graph or digraph from a file, stdin, or a generator name.
+
+    A generator's vertex count n, when positive, and its edge count go to
+    ``size(n, m)`` before the graph is built, so a caller can refuse an
+    input from its counts alone.
+    """
     if source == "-":
         return parse_text(sys.stdin.read())
     if os.path.exists(source):
@@ -79,6 +85,9 @@ def _resolve_source(source: str) -> Union[Graph, Digraph]:
         n = int(num) if sep else None
     except ValueError:
         raise ValueError(f"bad vertex count in {source!r}") from None
+    edges = _GENERATORS.get(name, (None, None))[1]
+    if size is not None and edges is not None and n is not None and n > 0:
+        size(n, edges(n))
     try:
         return named(name, n)
     except ValueError as exc:
@@ -131,7 +140,6 @@ def _cmd_check_graph(args):
 
 
 def _cmd_search(args):
-    g = _as_graph(_resolve_source(args.source))
     if args.fix_first_arc and args.fix_first_label:
         mode = SymmetryMode.BOTH
     elif args.fix_first_arc:
@@ -140,6 +148,12 @@ def _cmd_search(args):
         mode = SymmetryMode.FIX_FIRST_LABEL
     else:
         mode = SymmetryMode.NONE
+
+    def census_size(n: int, m: int) -> None:
+        _census_size(n, m, 2 if mode.fix_arc and m else 1)
+
+    # complete:N is refused from its C(N, 2) edges before any is built.
+    g = _as_graph(_resolve_source(args.source, census_size))
     rep = noncordial_orientations(g, mode)
     inputs = {"source": args.source, "symmetry": mode.value}
     verdicts = {

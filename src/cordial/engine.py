@@ -126,7 +126,7 @@ def lambda_count(graph: Graph, labeling: VertexLabeling) -> int:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabelingReport:
     """Outcome of a labeling check on one digraph or graph."""
 
@@ -464,7 +464,7 @@ def _equal(counter: list[int], value: int, lanes: int) -> int:
     return lanes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrientabilityWitness:
     """A friendly labeling plus an orientation with balanced arc counts."""
 

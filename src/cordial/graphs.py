@@ -337,14 +337,18 @@ def tight_bound_graph(n: int) -> Graph:
 
 
 # Each generator name, in the order ``cordial gen`` lists them, with its
-# generator and whether that takes a vertex count.
-_GENERATORS: dict[str, tuple[Callable[..., Union[Graph, Digraph]], bool]] = {
-    "path": (path_graph, True),
-    "complete": (complete_graph, True),
-    "petersen": (petersen_graph, False),
-    "counterexample_tree": (counterexample_tree, False),
-    "alternating_path": (alternating_path, True),
-    "tight_bound": (tight_bound_graph, True),
+# generator and, for one that takes a vertex count n, the edge count of
+# its graph on n vertices, so a caller can size the graph before it is
+# built; None for the others.
+_GENERATORS: dict[
+    str, tuple[Callable[..., Union[Graph, Digraph]], Callable[[int], int] | None]
+] = {
+    "path": (path_graph, lambda n: n - 1),
+    "complete": (complete_graph, lambda n: comb(n, 2)),
+    "petersen": (petersen_graph, None),
+    "counterexample_tree": (counterexample_tree, None),
+    "alternating_path": (alternating_path, lambda n: n - 1),
+    "tight_bound": (tight_bound_graph, max_edges),
 }
 
 
@@ -355,8 +359,8 @@ def named(name: str, n: int | None = None) -> Union[Graph, Digraph]:
     """
     if name not in _GENERATORS:
         raise ValueError(f"unknown graph name {name!r}")
-    maker, sized = _GENERATORS[name]
-    if not sized:
+    maker, edges = _GENERATORS[name]
+    if edges is None:
         if n is not None:
             raise ValueError(f"{name} does not take a vertex count")
         return maker()

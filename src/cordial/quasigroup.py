@@ -15,9 +15,12 @@ element 2 of -1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, factorial
 from typing import Sequence, Union
 
+from .engine import _refuse_over
 from .graphs import Digraph, Graph, _token_rows
+from .search import _MAX_LABELINGS
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,31 @@ def z3_minus_instance() -> CordialInstance:
     return CordialInstance(table, (0, 1))
 
 
+# The most vertices the engine answers with a scan: from 32,767 on even
+# the DP layers of no pair pass its ``_DP_MAX_BITS``.
+_MAX_VERTICES = 32766
+
+
+def _refuse_oversize(n: int, s: int) -> None:
+    """Refuse a walk over more than 2^24 balanced assignments of n
+    vertices to s symbols, from the counts alone.  With r = n mod s there
+    are n! / (floor(n/s)!^(s-r) * ceil(n/s)!^r) * C(s, r) of them; with
+    s = 2 that passes the cap from n = 27 on, as the orientation census's
+    labeling count does.  Past ``_MAX_VERTICES`` the count is not
+    computed: with s >= 2 it is at least C(n-1, about n/2), which bounds
+    its exponent from n alone, and s = 1, whose one assignment has n
+    labels, is refused by its vertex count."""
+    if n > _MAX_VERTICES:
+        if s == 1:
+            _refuse_over(_MAX_VERTICES, n, "labels in one labeling", "{} vertices", n)
+        count, log2 = 0, n - 1 - (n - 1).bit_length()
+    else:
+        base, r = divmod(n, s)
+        fibers = factorial(base) ** (s - r) * factorial(base + 1) ** r
+        count, log2 = factorial(n) // fibers * comb(s, r), -1
+    _refuse_over(_MAX_LABELINGS, count, "labelings to scan", "{} vertices", n, log2)
+
+
 def _first_balanced(
     n: int,
     symbols: Sequence[int],
@@ -124,8 +152,10 @@ def _first_balanced(
     and keeps within those limits therefore reaches only balanced
     assignments, in product order, and never a dead end; it counts the
     pair labels of each one it reaches and returns the first balanced one.
+    ``_refuse_oversize`` sizes the walk before it starts.
     """
     q = len(symbols)
+    _refuse_oversize(n, q)
     base, extra = divmod(n, q)
     counts = [0] * q
     picks: list[int] = []  # symbol index chosen at each position so far
@@ -167,7 +197,9 @@ def is_subset_q_cordial(
 
     Vertex labels come from the instance's subset and are balanced over
     it; arc labels op(f(tail), f(head)) must be balanced over the whole
-    table.  Labelings are tried in lexicographic order.
+    table.  Labelings are tried in lexicographic order.  More than 2^24
+    balanced vertex labelings, or a one-symbol subset past 32,766
+    vertices, raise ValueError before the walk.
     """
     return _first_balanced(
         digraph.vertex_count, instance.label_subset, digraph.arcs, instance.table.rows
@@ -181,7 +213,8 @@ def is_a_cordial(graph: Graph, table: CayleyTable) -> tuple[int, ...] | None:
     op(f(u), f(v)).  Both labelings must be balanced over the full
     element set.  Raises on a non-commutative table, since undirected
     edges would then have ambiguous labels, and on a table with no
-    elements, which has no labels to balance.
+    elements, which has no labels to balance, and on the sizes that
+    ``is_subset_q_cordial`` refuses.
     """
     if not table.order:
         raise ValueError("table has no elements")

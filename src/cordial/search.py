@@ -26,8 +26,8 @@ reads every size's verdict from one pass of ``_frontier_layers``.
 from __future__ import annotations
 
 import enum
+import functools
 import time
-import weakref
 from dataclasses import InitVar, dataclass, field
 from itertools import compress, count
 from math import comb
@@ -105,7 +105,7 @@ def orientations(graph: Graph, fix_first_arc: bool = False) -> Iterator[Orientat
         yield Orientation(graph, bits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchReport:
     """Result of a non-cordial-orientation hunt over one graph.
 
@@ -304,7 +304,12 @@ def _census_size(n: int, m: int, step: int) -> int:
     return total
 
 
-_live_reports = weakref.WeakValueDictionary()
+@functools.lru_cache(maxsize=1)
+def _every_orientation(m: int, step: int) -> int:
+    """The failures of a census whose step-th orientations of m edges all
+    fail: all 2^m bits, or with the arc pinned the even ones, a third."""
+    every = (1 << (1 << m)) - 1
+    return every if step == 1 else every // 3
 
 
 def noncordial_orientations(
@@ -326,6 +331,7 @@ def noncordial_orientations(
     fills it.  ``_pack`` packs the blocks left into the report's
     ``failing`` int, and no ``Orientation`` is built until
     ``report.noncordial`` is read; ``jobs`` is accepted and ignored.
+    Censuses of one size that fail everywhere share one cached int.
 
     ``_census_size`` refuses over 2^22 orientations after the arc pin,
     then n >= 27 (over 2^24 pinned labelings), before any scan; from
@@ -341,22 +347,15 @@ def noncordial_orientations(
     step = 2 if symmetry.fix_arc and m > 0 else 1
     total = _census_size(graph.vertex_count, m, step)
     failing = _pack(m, _uncovered_blocks(graph, step))
-    # Equal censuses share the failure int of the first live report that
-    # holds it, so kept repeats hold one copy (Petersen's is 2 KB) also
-    # when a repeat in between is dropped at once.
-    last = _live_reports.get((graph, step))
-    if last is not None and last.failing == failing:
-        failing = last.failing
-    report = SearchReport(
+    if failing.bit_count() == total:
+        failing = _every_orientation(m, step)
+    return SearchReport(
         graph=graph,
         total_orientations_scanned=total,
         failing=failing,
         symmetry_mode=symmetry,
         wall_time=time.perf_counter() - t0,
     )
-    if last is None or last.failing is not failing:
-        _live_reports[(graph, step)] = report
-    return report
 
 
 def path_cordial_dp(digraph: Digraph) -> VertexLabeling | None:
@@ -412,7 +411,7 @@ def scan_alternating_paths(n_max: int) -> list[int]:
     return failing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TournamentSurvey:
     """Census of cordiality over all labeled tournaments on n vertices."""
 

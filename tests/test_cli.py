@@ -13,6 +13,7 @@ import cordial
 from cordial import (
     alternating_path,
     engine,
+    graphs,
     make_graph,
     parse_text,
     path_graph,
@@ -171,6 +172,23 @@ class TestSearch:
         code, out, _ = invoke(["search", "path:4"])
         assert code == 1
         assert "001" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--fix-first-arc"]])
+    def test_generator_sized_before_it_is_built(self, monkeypatch, flags):
+        # K_1000000's 499,999,500,000 edges would take terabytes.
+        def no_build(n):
+            raise AssertionError(f"complete_graph({n}) built")
+
+        monkeypatch.setattr(graphs, "complete_graph", no_build)
+        monkeypatch.setitem(graphs._GENERATORS, "complete", (no_build, graphs._GENERATORS["complete"][1]))
+        t0 = time.perf_counter()
+        code, out, err = invoke(["search", "complete:1000000", *flags])
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (2, "")
+        k = 499999500000 - bool(flags)
+        assert err == (
+            f"error: at least 2^{k} orientations to scan (499999500000 edges), over the 4194304 cap\n"
+        )
 
     def test_p6_clean(self):
         code, out, _ = invoke(["search", "path:6"])
@@ -434,7 +452,8 @@ class TestClosedStdout:
 class TestCensusExitCodes:
     """Each subcommand in a child process in development mode with
     warnings as errors: exit codes and the key line of each report or
-    refusal.  An argument holding a newline runs on a file holding it."""
+    refusal.  An argument holding a newline runs on a file holding it,
+    one file per argument."""
 
     @pytest.mark.parametrize(
         "argv, code, expected",
@@ -493,6 +512,12 @@ class TestCensusExitCodes:
                 2,
                 "error: [Errno 2] No such file or directory: 'no-such-dir/z3.txt'\n",
             ),
+            (
+                ["qcheck", "1000000000 0\n", "--table", "3\n0 1 2\n2 0 1\n1 2 0\n", "--subset", "0,1"],
+                2,
+                "error: at least 2^999999969 labelings to scan (1000000000 vertices), "
+                "over the 16777216 cap\n",
+            ),
         ],
         ids=[
             "petersen", "k6", "path40", "sparse40", "sparse27", "empty", "k170", "empty20000",
@@ -500,14 +525,14 @@ class TestCensusExitCodes:
             "bounds-2201-digits", "verify-bound8", "verify-bound9", "verify-bound10",
             "verify-bound-2201-digits", "tournaments-2201-digits", "complete40", "alternating34",
             "check-graph-billion", "check-digraph-billion", "search-billion",
-            "qcheck-missing-table",
+            "qcheck-missing-table", "qcheck-billion",
         ],
     )
     def test_exit_code(self, tmp_path, argv, code, expected):
         argv = list(argv)
         for i, arg in enumerate(argv):
             if "\n" in arg:
-                path = tmp_path / "graph.txt"
+                path = tmp_path / f"arg{i}.txt"
                 path.write_text(arg)
                 argv[i] = str(path)
         returncode, out, err = run_child(argv, dev=True)

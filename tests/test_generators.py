@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from cordial import named, parse_text
+from cordial import Digraph, named, parse_text
 from cordial.cli import run
 from cordial.graphs import _GENERATORS
 
@@ -48,6 +48,16 @@ def test_fixed_size_name_rejects_a_vertex_count(name):
     code, out, err = invoke(["gen", name, "4"])
     assert (code, out) == (2, "")
     assert err == f"error: {name} does not take a vertex count\n"
+
+
+@pytest.mark.parametrize("name", SIZED)
+def test_sized_name_knows_its_edge_count(name):
+    # A caller sizes the graph from this count before it is built.
+    maker, edges = _GENERATORS[name]
+    for n in range(3, 13):
+        if name != "alternating_path" or n % 2 == 0:
+            obj = maker(n)
+            assert edges(n) == (obj.arc_count if isinstance(obj, Digraph) else obj.edge_count)
 
 
 def test_unknown_name_is_rejected():

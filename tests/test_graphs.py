@@ -7,13 +7,17 @@ from cordial import (
     Digraph,
     Graph,
     Orientation,
+    SymmetryMode,
     VertexLabeling,
     alternating_path,
     complete_graph,
     counterexample_tree,
+    is_cordial,
+    is_orientable,
     make_graph,
     max_edges,
     named,
+    noncordial_orientations,
     orient,
     parse_text,
     path_graph,
@@ -21,7 +25,9 @@ from cordial import (
     reverse,
     tight_bound_graph,
     to_text,
+    tournament_survey,
 )
+from cordial.search import SearchReport
 
 
 def bfs_connected(g):
@@ -204,6 +210,34 @@ class TestVertexLabeling:
         finally:
             tracemalloc.stop()
         assert size / len(kept) < 75
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            lambda: is_cordial(alternating_path(4)),
+            lambda: is_orientable(path_graph(4)),
+            lambda: noncordial_orientations(path_graph(4)),
+            lambda: tournament_survey(3),
+        ],
+        ids=["LabelingReport", "OrientabilityWitness", "SearchReport", "TournamentSurvey"],
+    )
+    def test_reports_are_slotted(self, report):
+        rep = report()
+        assert "__slots__" in type(rep).__dict__
+        assert not hasattr(rep, "__dict__")
+
+    def test_kept_search_reports_are_small(self):
+        # Slotted, a census report over fields that exist already costs
+        # its object and a list slot, 80 bytes; with a __dict__ it was
+        # 113-158 (Python 3.10-3.12).
+        g = path_graph(14)
+        tracemalloc.start()
+        try:
+            kept = [SearchReport(g, 8192, 0, SymmetryMode.BOTH, 0.5) for _ in range(2000)]
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert size / len(kept) < 100
 
 
 class TestNamedGraphs:

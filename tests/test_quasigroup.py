@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,12 @@ from cordial import (
     CayleyTable,
     CordialInstance,
     Digraph,
+    Graph,
     VertexLabeling,
     alternating_path,
     cayley_to_text,
     complete_graph,
+    engine,
     gamma_triple,
     is_a_cordial,
     is_balanced_triple,
@@ -22,6 +25,7 @@ from cordial import (
     is_subset_q_cordial,
     parse_cayley_text,
     path_graph,
+    quasigroup,
     validate_latin,
     z3_minus_instance,
 )
@@ -196,6 +200,56 @@ class TestBalancedAssignments:
                         None,
                     )
                     assert _first_balanced(n, symbols, pairs, rows) == expected
+
+
+class TestSizeCheck:
+    @pytest.mark.parametrize("s", range(1, 6))
+    def test_count_is_the_walks(self, monkeypatch, s):
+        # Under a cap of 0 every count is refused and named: it is the
+        # number of balanced assignments, also with more symbols than
+        # vertices.
+        monkeypatch.setattr(quasigroup, "_MAX_LABELINGS", 0)
+        symbols = tuple(range(s))
+        for n in range(8):
+            count = sum(
+                spread(f, symbols) <= 1 for f in itertools.product(symbols, repeat=n)
+            )
+            with pytest.raises(ValueError, match=f"^{count} labelings to scan, over the 0 cap$"):
+                _first_balanced(n, symbols, (), Z2.rows)
+
+    def test_two_symbols_refused_from_27_vertices(self):
+        # As the orientation census: 2 * C(27, 13) passes 2^24, while
+        # C(26, 13) = 10,400,600 does not.
+        inst = z3_minus_instance()
+        assert is_subset_q_cordial(Digraph(26, ()), inst) == (0,) * 13 + (1,) * 13
+        with pytest.raises(ValueError, match=r"^40116600 labelings to scan, over the 16777216 cap$"):
+            is_subset_q_cordial(Digraph(27, ()), inst)
+
+    def test_vertex_cap_is_the_engines(self):
+        cap = quasigroup._MAX_VERTICES
+        assert engine._least_layer_bits(cap) <= engine._DP_MAX_BITS
+        assert engine._least_layer_bits(cap + 1) > engine._DP_MAX_BITS
+        one = CordialInstance(z3_minus_instance().table, (0,))
+        assert is_subset_q_cordial(Digraph(cap, ()), one) == (0,) * cap
+        with pytest.raises(ValueError, match=r"^32767 labels in one labeling, over the 32766 cap$"):
+            is_subset_q_cordial(Digraph(cap + 1, ()), one)
+
+    def test_billion_vertices_refused_at_once(self, monkeypatch):
+        def no_count(n):
+            raise AssertionError(f"factorial({n}) computed")
+
+        monkeypatch.setattr(quasigroup, "factorial", no_count)
+        n = 10**9
+        many = r"^at least 2\^999999969 labelings to scan \(1000000000 vertices\), over the 16777216 cap$"
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match=many):
+            is_subset_q_cordial(Digraph(n, ()), z3_minus_instance())
+        with pytest.raises(ValueError, match=many):
+            is_a_cordial(Graph(n, ()), Z3)
+        one = CordialInstance(z3_minus_instance().table, (0,))
+        with pytest.raises(ValueError, match=r"^1000000000 labels in one labeling, over the 32766 cap$"):
+            is_subset_q_cordial(Digraph(n, ()), one)
+        assert time.perf_counter() - t0 < 0.5
 
 
 class TestACordial:

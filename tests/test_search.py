@@ -162,8 +162,8 @@ class TestNoncordialOrientations:
         assert peak < 200 * 1024
 
     def test_kept_reports_retain_one_failure_int(self):
-        # Under 1 KB per kept report: a 2 KB int each, or one shared tuple
-        # of 2^14 orientations (0.88 MB), would not fit.
+        # Under 1 KB per kept report: a 4.4 KB int each, or one shared
+        # tuple of 2^14 orientations (0.88 MB), would not fit.
         g = petersen_graph()
         tracemalloc.start()
         try:
@@ -173,6 +173,25 @@ class TestNoncordialOrientations:
             tracemalloc.stop()
         assert len({id(r.failing) for r in kept}) == 1
         assert retained < 100 * 1024
+
+    @pytest.mark.parametrize("mode", [SymmetryMode.NONE, SymmetryMode.FIX_FIRST_ARC])
+    def test_kept_all_fail_reports_share_one_int(self, mode):
+        # K6's 15 edges pass the edge ceiling and Petersen's 15 are not
+        # orientable, so every orientation of both fails: kept reports of
+        # either share the cached int of all 2^15, or of the even ones
+        # with the arc pinned.
+        graphs = [complete_graph(6), petersen_graph()] * 50
+        kept = [noncordial_orientations(g, mode) for g in graphs]
+        every = (1 << 2**15) - 1
+        assert kept[0].failing == (every if mode is SymmetryMode.NONE else every // 3)
+        assert len({id(r.failing) for r in kept}) == 1
+
+    def test_partial_failures_are_not_shared(self):
+        # Only an all-fail census reads the cache; P10's 2 failures of
+        # 512 are its own.
+        rep = noncordial_orientations(path_graph(10))
+        assert rep.failing.bit_count() == 2
+        assert rep.failing is not search._every_orientation(9, 1)
 
     def test_noncordial_is_built_on_each_read(self):
         rep = noncordial_orientations(path_graph(10))
