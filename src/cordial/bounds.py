@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .engine import OrientabilityWitness, _pinned_labelings, _refuse_over, _scan_first_mask
-from .engine import is_orientable
+from .engine import _MAX_LABELINGS, OrientabilityWitness, _pinned_labelings, _refuse_over
+from .engine import _scan_first_mask, is_orientable
 from .graphs import (
     Graph,
     bichromatic_capacity,
@@ -29,7 +29,6 @@ from .graphs import (
     max_edges,
     tight_bound_graph,
 )
-from .search import _MAX_LABELINGS
 
 
 def z_value(n: int) -> int:

@@ -16,12 +16,12 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields
-from typing import Union
+from typing import Callable, Union
 
 from .bounds import bounds_record, max_edges, verify_bound
-from .engine import is_cordial, is_orientable
+from .engine import _over_ceiling, is_cordial, is_orientable
 from .graphs import _GENERATORS, Digraph, Graph, named, parse_text, to_text
-from .quasigroup import CordialInstance, is_subset_q_cordial, parse_cayley_text
+from .quasigroup import CordialInstance, _refuse_oversize, is_subset_q_cordial, parse_cayley_text
 from .search import (
     SymmetryMode,
     _census_size,
@@ -68,12 +68,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _resolve_source(source: str, size=None) -> Union[Graph, Digraph]:
+def _resolve_source(source: str, size: Callable[[int, int], object]) -> Union[Graph, Digraph]:
     """Load a graph or digraph from a file, stdin, or a generator name.
 
-    A generator's vertex count n, when positive, and its edge count go to
-    ``size(n, m)`` before the graph is built, so a caller can refuse an
-    input from its counts alone.
+    A generator's counts, n >= 2 vertices and m edges, first go to the
+    command's size rule ``size(n, m)``, which can refuse them unbuilt.
     """
     if source == "-":
         return parse_text(sys.stdin.read())
@@ -86,7 +85,7 @@ def _resolve_source(source: str, size=None) -> Union[Graph, Digraph]:
     except ValueError:
         raise ValueError(f"bad vertex count in {source!r}") from None
     edges = _GENERATORS.get(name, (None, None))[1]
-    if size is not None and edges is not None and n is not None and n > 0:
+    if edges is not None and n is not None and n > 1:
         size(n, edges(n))
     try:
         return named(name, n)
@@ -111,7 +110,7 @@ def _as_graph(obj: Union[Graph, Digraph]) -> Graph:
 
 
 def _cmd_check_digraph(args):
-    d = _as_digraph(_resolve_source(args.source))
+    d = _as_digraph(_resolve_source(args.source, _over_ceiling))
     inputs = {"source": args.source, "vertices": d.vertex_count, "arcs": d.arc_count}
     report = is_cordial(d)
     if report is None:
@@ -125,7 +124,7 @@ def _cmd_check_digraph(args):
 
 
 def _cmd_check_graph(args):
-    g = _as_graph(_resolve_source(args.source))
+    g = _as_graph(_resolve_source(args.source, _over_ceiling))
     inputs = {"source": args.source, "vertices": g.vertex_count, "edges": g.edge_count}
     witness = is_orientable(g)
     if witness is None:
@@ -148,12 +147,7 @@ def _cmd_search(args):
         mode = SymmetryMode.FIX_FIRST_LABEL
     else:
         mode = SymmetryMode.NONE
-
-    def census_size(n: int, m: int) -> None:
-        _census_size(n, m, 2 if mode.fix_arc and m else 1)
-
-    # complete:N is refused from its C(N, 2) edges before any is built.
-    g = _as_graph(_resolve_source(args.source, census_size))
+    g = _as_graph(_resolve_source(args.source, lambda n, m: _census_size(n, m, mode.fix_arc)))
     rep = noncordial_orientations(g, mode)
     inputs = {"source": args.source, "symmetry": mode.value}
     verdicts = {
@@ -213,13 +207,13 @@ def _cmd_verify_bound(args):
 
 
 def _cmd_qcheck(args):
-    d = _as_digraph(_resolve_source(args.source))
-    with open(args.table, encoding="utf-8") as fh:
-        table = parse_cayley_text(fh.read())
     try:
         subset = tuple(int(x) for x in args.subset.split(","))
     except ValueError:
         raise ValueError(f"bad label subset {args.subset!r}") from None
+    d = _as_digraph(_resolve_source(args.source, lambda n, m: _refuse_oversize(n, len(subset))))
+    with open(args.table, encoding="utf-8") as fh:
+        table = parse_cayley_text(fh.read())
     instance = CordialInstance(table, subset)
     inputs = {"source": args.source, "table": args.table, "subset": list(subset)}
     witness = is_subset_q_cordial(d, instance)

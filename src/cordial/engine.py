@@ -17,11 +17,9 @@ label swaps the +1 and -1 arc counts, so vertex 0 can be pinned to label
 normalized to label vertex 0 with 0.
 
 ``is_cordial`` and ``is_orientable`` only build their reports from the
-mask of ``_first_mask``.  It applies the certificates first (an input
-with more edges than ``max_edges(n)`` is answered None without a scan),
-refuses an input of 32,767 vertices or more, and hands every other
-input to one of two searches, chosen by an estimate of their work read
-off the DP's own plan:
+mask of ``_first_mask``.  Unless ``_over_ceiling`` answers or refuses
+an input from its counts, it hands the input to one of two searches,
+chosen by an estimate of their work read off the DP's plan:
 
 - The kernel, ``_scan_first_mask`` over ``_sliced_leaves``, tests
   friendly labelings 2^b at a time, bit-sliced (Biham 1997): lane k of
@@ -59,8 +57,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
-from typing import Iterable, Iterator, NamedTuple
+from math import comb, isqrt
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .graphs import (
     Digraph,
@@ -164,13 +162,9 @@ def _first_mask(
 ) -> int | None:
     """The first mask both deciders report, or None when there is none.
 
-    Certificates come first: more pairs than ``max_edges(n)`` leave no
-    friendly labeling a balanced triple, so no search starts.  From
-    n = 32,767 on, even the layers of no pair pass ``_DP_MAX_BITS``, which
-    leaves only the exponential kernel: ValueError, before a list of n
-    entries or the budget is built.  The frontier DP costs about
-    n * (n/2) * 2^w for frontier width w (bitsets of n/2 ones rows, 2^w
-    patterns per vertex) and the kernel reads up to
+    ``_over_ceiling`` answers from the counts first, or refuses.  The
+    frontier DP costs about n * (n/2) * 2^w for frontier width w (bitsets
+    of n/2 ones rows, 2^w patterns per vertex) and the kernel reads up to
     ``_pinned_labelings(n)`` labelings, the budget once divided by
     ``_LABELINGS_PER_DP_UNIT``.  An input whose DP would reach the budget
     even at w = 0 stays on the kernel without a plan.  Every other one
@@ -180,9 +174,8 @@ def _first_mask(
     the steps' keys, so a kernel-routed input builds no step.  Both
     searches return the same mask.
     """
-    if n >= 2 and len(pairs) > max_edges(n):
+    if _over_ceiling(n, len(pairs)):
         return None
-    _refuse_over(_DP_MAX_BITS, _least_layer_bits(n), "bits of DP layers", "{} vertices", n)
     budget = _pinned_labelings(n) // _LABELINGS_PER_DP_UNIT
     unit = n * (n // 2)
     if unit < budget:
@@ -196,6 +189,16 @@ def _first_mask(
         else:
             return _frontier_walk(read, layout, layout.goal(n, len(pairs)))
     return _scan_first_mask(n, pairs, directed)
+
+
+def _over_ceiling(n: int, m: int) -> bool:
+    """Both deciders' size rule, from the counts alone: True ("no") when m
+    pairs pass ``max_edges(n)``, else ValueError past ``_MAX_VERTICES``,
+    where only the exponential kernel is left."""
+    if n >= 2 and m > max_edges(n):
+        return True
+    _refuse_over(_DP_MAX_BITS, _least_layer_bits(n), "bits of DP layers", "{} vertices", n)
+    return False
 
 
 def _pinned_labelings(n: int) -> int:
@@ -220,6 +223,21 @@ def _refuse_over(cap: int, number: int, what: str, size: str, of: int, log2: int
         raise ValueError(f"at least 2^{k} {what} ({size.format(of)}), over the {cap} cap")
     if number > cap:
         raise ValueError(f"{number} {what}, over the {cap} cap")
+
+
+# The most labelings a census, a quasigroup walk or ``verify_bound`` scans.
+_MAX_LABELINGS = 1 << 24
+
+
+def _refuse_labelings(n: int, count: Callable[[int], int]) -> None:
+    """ValueError over ``_MAX_LABELINGS`` labelings of n vertices, count(n)
+    of them.  Past ``_MAX_VERTICES`` that is not computed: it is at least
+    C(n-1, about n/2), the largest of n terms summing to 2^(n-1)."""
+    if n > _MAX_VERTICES:
+        number, log2 = 0, n - 1 - (n - 1).bit_length()
+    else:
+        number, log2 = count(n), -1
+    _refuse_over(_MAX_LABELINGS, number, "labelings to scan", "{} vertices", n, log2)
 
 
 def _balanced(m: int) -> dict[int, set[int]]:
@@ -620,6 +638,13 @@ def _least_layer_bits(n: int) -> int:
     """The bits of the DP layers of n vertices and no pair, the fewest of
     any input of n vertices: no layout is smaller than the one of no pair."""
     return n * _layout(n, 0, 0, False).size
+
+
+# The most vertices any scan reads, 32,766: past it even the layers of
+# no pair, about n^2 / 2 bits, pass ``_DP_MAX_BITS``.
+_MAX_VERTICES = next(
+    n for n in range(isqrt(2 * _DP_MAX_BITS), 0, -1) if _least_layer_bits(n) <= _DP_MAX_BITS
+)
 
 
 # One vertex's step, its moves: each (q, sources) lists the (p, x, shift)

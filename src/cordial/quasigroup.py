@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Sequence, Union
 
-from .engine import _refuse_over
+from .engine import _MAX_VERTICES, _refuse_labelings, _refuse_over
 from .graphs import Digraph, Graph, _token_rows
-from .search import _MAX_LABELINGS
 
 
 @dataclass(frozen=True)
@@ -110,29 +109,19 @@ def z3_minus_instance() -> CordialInstance:
     return CordialInstance(table, (0, 1))
 
 
-# The most vertices the engine answers with a scan: from 32,767 on even
-# the DP layers of no pair pass its ``_DP_MAX_BITS``.
-_MAX_VERTICES = 32766
-
-
 def _refuse_oversize(n: int, s: int) -> None:
-    """Refuse a walk over more than 2^24 balanced assignments of n
-    vertices to s symbols, from the counts alone.  With r = n mod s there
-    are n! / (floor(n/s)!^(s-r) * ceil(n/s)!^r) * C(s, r) of them; with
-    s = 2 that passes the cap from n = 27 on, as the orientation census's
-    labeling count does.  Past ``_MAX_VERTICES`` the count is not
-    computed: with s >= 2 it is at least C(n-1, about n/2), which bounds
-    its exponent from n alone, and s = 1, whose one assignment has n
-    labels, is refused by its vertex count."""
-    if n > _MAX_VERTICES:
-        if s == 1:
-            _refuse_over(_MAX_VERTICES, n, "labels in one labeling", "{} vertices", n)
-        count, log2 = 0, n - 1 - (n - 1).bit_length()
-    else:
+    """The walk's size rule, from the counts alone: refuse over 2^24 of the
+    n! / (floor(n/s)!^(s-r) * ceil(n/s)!^r) * C(s, r) balanced assignments
+    of n vertices to s symbols, r = n mod s (n >= 27 for s = 2).  s = 1,
+    one assignment of n labels, is refused past ``_MAX_VERTICES``."""
+    if s == 1:
+        _refuse_over(_MAX_VERTICES, n, "labels in one labeling", "{} vertices", n)
+
+    def balanced(n: int) -> int:
         base, r = divmod(n, s)
-        fibers = factorial(base) ** (s - r) * factorial(base + 1) ** r
-        count, log2 = factorial(n) // fibers * comb(s, r), -1
-    _refuse_over(_MAX_LABELINGS, count, "labelings to scan", "{} vertices", n, log2)
+        return factorial(n) // (factorial(base) ** (s - r) * factorial(base + 1) ** r) * comb(s, r)
+
+    _refuse_labelings(n, balanced)
 
 
 def _first_balanced(

@@ -41,8 +41,8 @@ from .engine import (
     _frontier_walk,
     _lane_bits,
     _layout,
-    _least_layer_bits,
     _pinned_labelings,
+    _refuse_labelings,
     _refuse_over,
     _sliced_leaves,
 )
@@ -148,7 +148,6 @@ SearchReport.noncordial = property(_orientations_of)  # type: ignore[assignment]
 
 _BLOCK_BITS = 6
 _MAX_ORIENTATIONS = 1 << 22
-_MAX_LABELINGS = 1 << 24
 
 
 def _count_sets(plus: int, bi: int, width: int) -> list[int]:
@@ -288,20 +287,16 @@ def _pack(m: int, blocks: Iterable[tuple[int, int]]) -> int:
     return int.from_bytes(b"".join(w.to_bytes(8, "little") for w in words), "little")
 
 
-def _census_size(n: int, m: int, step: int) -> int:
-    """The 2^m / step orientations a census of n vertices and m edges
-    scans, refused over 2^22 or over 2^24 pinned labelings.  Read from
-    the counts alone, so K_n is sized before it is built."""
+def _census_size(n: int, m: int, fix_arc: bool) -> tuple[int, int]:
+    """The census's size rule, from the counts alone: the step (2 when the
+    arc is pinned, m >= 1) and the 2^m / step orientations it scans,
+    refused over 2^22 of them or over 2^24 pinned labelings (n >= 27)."""
+    step = 2 if fix_arc and m > 0 else 1
     k = m - (step == 2)
     total = 1 << min(k, 64)
     _refuse_over(_MAX_ORIENTATIONS, total, "orientations to scan", "{} edges", m, k)
-    if _least_layer_bits(n) > _DP_MAX_BITS:
-        # C(n-1, about n/2), the largest of n terms summing to 2^(n-1).
-        labelings, log2 = 0, n - 1 - (n - 1).bit_length()
-    else:
-        labelings, log2 = _pinned_labelings(n), -1
-    _refuse_over(_MAX_LABELINGS, labelings, "labelings to scan", "{} vertices", n, log2)
-    return total
+    _refuse_labelings(n, _pinned_labelings)
+    return step, total
 
 
 @functools.lru_cache(maxsize=1)
@@ -333,9 +328,7 @@ def noncordial_orientations(
     ``report.noncordial`` is read; ``jobs`` is accepted and ignored.
     Censuses of one size that fail everywhere share one cached int.
 
-    ``_census_size`` refuses over 2^22 orientations after the arc pin,
-    then n >= 27 (over 2^24 pinned labelings), before any scan; from
-    n = 32,767 on it bounds that count instead of computing it.  At the
+    ``_census_size`` sizes the census before any scan.  At the
     orientation cap, ``path_graph(23)`` takes about 0.8 s and peaks at
     54 MB, mostly its 203,940 distinct (P, B) (tracemalloc; Python 3.11,
     2 vCPUs).  There a report keeps one 512 KB int, and each read of
@@ -344,8 +337,7 @@ def noncordial_orientations(
     """
     m = graph.edge_count
     t0 = time.perf_counter()
-    step = 2 if symmetry.fix_arc and m > 0 else 1
-    total = _census_size(graph.vertex_count, m, step)
+    step, total = _census_size(graph.vertex_count, m, symmetry.fix_arc)
     failing = _pack(m, _uncovered_blocks(graph, step))
     if failing.bit_count() == total:
         failing = _every_orientation(m, step)
@@ -428,7 +420,7 @@ def tournament_survey(n: int) -> TournamentSurvey:
     census's uncovered blocks.  From n = 6 on K_n passes the edge
     ceiling, so no labeling reaches the window: every block counts whole.
     """
-    total = _census_size(n, comb(n, 2), 1)
+    _, total = _census_size(n, comb(n, 2), False)
     g = complete_graph(n)
     noncordial = sum(left.bit_count() for _, left in _uncovered_blocks(g, 1))
     return TournamentSurvey(n=n, total=total, noncordial_count=noncordial)

@@ -518,6 +518,24 @@ class TestCensusExitCodes:
                 "error: at least 2^999999969 labelings to scan (1000000000 vertices), "
                 "over the 16777216 cap\n",
             ),
+            # Generator sources sized from their counts before they are built:
+            # each line is the one the same input read from a file gets.
+            (
+                ["check-graph", "path:100000000"],
+                2,
+                "error: 5000000100000000 bits of DP layers, over the 536870912 cap\n",
+            ),
+            (
+                ["check-digraph", "alternating_path:100000000"],
+                2,
+                "error: 5000000100000000 bits of DP layers, over the 536870912 cap\n",
+            ),
+            (
+                ["qcheck", "alternating_path:100000000", "--table", "3\n0 1 2\n2 0 1\n1 2 0\n", "--subset", "0,1"],
+                2,
+                "error: at least 2^99999972 labelings to scan (100000000 vertices), "
+                "over the 16777216 cap\n",
+            ),
         ],
         ids=[
             "petersen", "k6", "path40", "sparse40", "sparse27", "empty", "k170", "empty20000",
@@ -525,7 +543,8 @@ class TestCensusExitCodes:
             "bounds-2201-digits", "verify-bound8", "verify-bound9", "verify-bound10",
             "verify-bound-2201-digits", "tournaments-2201-digits", "complete40", "alternating34",
             "check-graph-billion", "check-digraph-billion", "search-billion",
-            "qcheck-missing-table", "qcheck-billion",
+            "qcheck-missing-table", "qcheck-billion", "check-graph-path-1e8",
+            "check-digraph-alternating-1e8", "qcheck-alternating-1e8",
         ],
     )
     def test_exit_code(self, tmp_path, argv, code, expected):
@@ -541,6 +560,29 @@ class TestCensusExitCodes:
         # A refusal is one line on stderr; a report writes nothing there.
         assert err.count("\n") == (code == 2)
         assert err.startswith("error: ") == (code == 2)
+
+    def test_generator_sources_refused_before_they_are_built(self, monkeypatch, tmp_path):
+        # Every sized generator's maker raises: each command refuses from the
+        # counts alone.  check-graph and check-digraph leave complete:N out,
+        # since the edge ceiling answers it only once it is built.
+        def no_build(n):
+            raise AssertionError(f"a generator built {n} vertices")
+
+        sized = [name for name, (_, edges) in graphs._GENERATORS.items() if edges]
+        for name in sized:
+            monkeypatch.setitem(graphs._GENERATORS, name, (no_build, graphs._GENERATORS[name][1]))
+        table = tmp_path / "z3.txt"
+        table.write_text("3\n0 1 2\n2 0 1\n1 2 0\n")
+        commands = [["search"], ["qcheck", "--table", str(table), "--subset", "0,1"]]
+        commands += [["check-graph"], ["check-digraph"]]
+        for command in commands:
+            for name in sized:
+                if name == "complete" and command[0].startswith("check-"):
+                    continue
+                code, out, err = invoke([command[0], f"{name}:100000000", *command[1:]])
+                assert (code, out) == (2, ""), (command, name, err)
+                assert err.startswith("error: ") and err.endswith(" cap\n"), err
+                assert err.count("\n") == 1
 
 
 class TestVerifyPaper:

@@ -208,7 +208,7 @@ class TestSizeCheck:
         # Under a cap of 0 every count is refused and named: it is the
         # number of balanced assignments, also with more symbols than
         # vertices.
-        monkeypatch.setattr(quasigroup, "_MAX_LABELINGS", 0)
+        monkeypatch.setattr(engine, "_MAX_LABELINGS", 0)
         symbols = tuple(range(s))
         for n in range(8):
             count = sum(
@@ -225,10 +225,16 @@ class TestSizeCheck:
         with pytest.raises(ValueError, match=r"^40116600 labelings to scan, over the 16777216 cap$"):
             is_subset_q_cordial(Digraph(27, ()), inst)
 
-    def test_vertex_cap_is_the_engines(self):
-        cap = quasigroup._MAX_VERTICES
+    def test_one_symbol_refused_past_the_derived_vertex_limit(self):
+        # The engine's one vertex limit, derived from its DP cap: the most
+        # vertices whose edgeless layers fit in _DP_MAX_BITS.
+        cap = engine._MAX_VERTICES
+        assert cap == 32766
         assert engine._least_layer_bits(cap) <= engine._DP_MAX_BITS
         assert engine._least_layer_bits(cap + 1) > engine._DP_MAX_BITS
+        assert engine._over_ceiling(cap, 0) is False
+        with pytest.raises(ValueError, match=r"^536887295 bits of DP layers, over the 536870912 cap$"):
+            engine._over_ceiling(cap + 1, 0)
         one = CordialInstance(z3_minus_instance().table, (0,))
         assert is_subset_q_cordial(Digraph(cap, ()), one) == (0,) * cap
         with pytest.raises(ValueError, match=r"^32767 labels in one labeling, over the 32766 cap$"):
