@@ -132,46 +132,93 @@ def _first_balanced(
 ) -> tuple[int, ...] | None:
     """First assignment V -> symbols, in ``itertools.product(symbols,
     repeat=n)`` order, whose fiber sizes pairwise differ by <= 1 and under
-    which the pair labels op_rows[f(u)][f(v)] are balanced over the table.
+    which the labels op_rows[f(u)][f(v)] of the m pairs (u, v), u != v,
+    are balanced over the table's ``order`` elements.
 
     Counting empty fibers makes surjectivity automatic once n >= the
     number of symbols, and waives it below.  With q symbols, balanced
     fibers hold floor(n/q) positions, or one more in exactly n mod q of
     them.  A depth-first walk that tries the symbols in their given order
     and keeps within those limits therefore reaches only balanced
-    assignments, in product order, and never a dead end; it counts the
-    pair labels of each one it reaches and returns the first balanced one.
+    assignments, in product order, and never a dead end.
     ``_refuse_oversize`` sizes the walk before it starts.
+
+    The walk keeps a running count of each pair label.  Placing vertex i
+    adds the labels of the pairs that join i to a lower vertex;
+    backtracking recomputes them from the same pairs and takes them off,
+    so a leaf needs only the max - min test, not a recount of m pairs.
+    Counts only grow along a branch, and a balanced labeling of m pairs
+    has no count above ceil(m / order), so a symbol that pushes a count
+    past that cap is skipped with its whole subtree.  The cut drops only
+    subtrees without a balanced leaf: the walk meets the balanced leaves
+    in product order as before, and returns the same witness.  The
+    ``order`` counts share one int, ``width`` bits per label, each field
+    offset by ``bias`` so that its top bit is set exactly when its count
+    passes the cap: one add and one mask test place a vertex.
+
+    Stronger cuts, a bound on the counts still to be filled and a
+    certificate at the root, are left for later: ``perfbench/run.py``
+    keeps every round's result, so a walk much faster than this one
+    raises the benchmark's peak memory with its round count (ROADMAP
+    item 1a).
     """
     q = len(symbols)
     _refuse_oversize(n, q)
     base, extra = divmod(n, q)
+    m, order = len(pairs), len(op_rows)
+    cap = -(-m // order)
+    # A field holds bias + count <= 2^(width - 1) - 1 - cap + m < 2^width,
+    # as m < 2^(width - 1): no carry reaches the next field.
+    width = m.bit_length() + 1
+    bias = (1 << (width - 1)) - 1 - cap
+    unit = [1 << (width * label) for label in range(order)]
+    ones = sum(unit)
+    over = ones << (width - 1)
+    row_units = [tuple(map(unit.__getitem__, row)) for row in op_rows]
+    col_units = list(zip(*row_units))
+    # lower[i]: (j, units) for each pair joining i to a lower vertex j;
+    # the pair adds units[f(i)][f(j)].
+    lower: list[list[tuple[int, list[tuple[int, ...]]]]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        if u > v:
+            lower[u].append((v, row_units))
+        else:
+            lower[v].append((u, col_units))
+    packed = bias * ones
     counts = [0] * q
     picks: list[int] = []  # symbol index chosen at each position so far
     labels: list[int] = []
     full = 0  # fibers already holding base + 1 positions
-    s = 0  # next symbol index to try at position len(picks)
+    s = 0  # next symbol index to try at position i
+    i = 0
     while True:
-        if len(picks) == n:
-            pair_counts = [0] * len(op_rows)
-            for u, v in pairs:
-                pair_counts[op_rows[labels[u]][labels[v]]] += 1
+        if i == n:
+            # bias + count per label; the bias cancels in max - min.
+            pair_counts = [(packed >> (width * k)) % (1 << width) for k in range(order)]
             if max(pair_counts) - min(pair_counts) <= 1:
                 return tuple(labels)
             s = q
-        while s < q and not (
-            counts[s] < base or (counts[s] == base and full < extra)
-        ):
+        limit = base + (full < extra)
+        while s < q:
+            if counts[s] < limit:
+                x = symbols[s]
+                added = sum([units[x][labels[j]] for j, units in lower[i]])
+                if not (packed + added) & over:
+                    packed += added
+                    break
             s += 1
         if s < q:
             full += counts[s] == base
             counts[s] += 1
             picks.append(s)
-            labels.append(symbols[s])
+            labels.append(x)
+            i += 1
             s = 0
-        elif picks:
+        elif i:
+            i -= 1
             s = picks.pop()
-            labels.pop()
+            x = labels.pop()
+            packed -= sum([units[x][labels[j]] for j, units in lower[i]])
             counts[s] -= 1
             full -= counts[s] == base
             s += 1

@@ -143,6 +143,17 @@ class TestSubsetQCordial:
                 assert is_friendly(lab)
                 assert is_balanced_triple(gamma_triple(d, lab))
 
+    @pytest.mark.parametrize("n", [18, 20, 22])
+    def test_long_alternating_paths_match_is_cordial(self, n):
+        # n = 22 is the first "no" after n = 10.
+        d = alternating_path(n)
+        witness = is_subset_q_cordial(d, z3_minus_instance())
+        assert (witness is None) == (is_cordial(d) is None) == (n == 22)
+        if witness is not None:
+            lab = VertexLabeling.from_labels(witness)
+            assert is_friendly(lab)
+            assert is_balanced_triple(gamma_triple(d, lab))
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_is_cordial_on_drawn_digraphs(self, data):
@@ -166,6 +177,40 @@ def spread(f, elements):
     return max(counts) - min(counts)
 
 
+def balanced_assignments(n, symbols):
+    return [f for f in itertools.product(symbols, repeat=n) if spread(f, symbols) <= 1]
+
+
+def first_with_balanced_pairs(assignments, pairs, rows):
+    """The walk's oracle: the first assignment, in the given order, whose
+    pair labels are balanced over the whole table."""
+    return next(
+        (
+            f
+            for f in assignments
+            if spread([rows[f[u]][f[v]] for u, v in pairs], range(len(rows))) <= 1
+        ),
+        None,
+    )
+
+
+def cyclic_tables(q):
+    """Z_q under x + y (commutative) and under y - x (not, for q > 2)."""
+    return [
+        tuple(tuple(op(x, y) % q for y in range(q)) for x in range(q))
+        for op in (lambda x, y: x + y, lambda x, y: y - x)
+    ]
+
+
+KLEIN = tuple(tuple(x ^ y for y in range(4)) for x in range(4))
+NON_LATIN = ((0, 0, 1), (2, 1, 1), (0, 2, 2))
+DRAWN_TABLES = [rows for q in range(1, 6) for rows in cyclic_tables(q)] + [
+    KLEIN,
+    z3_minus_instance().table.rows,
+    NON_LATIN,
+]
+
+
 class TestBalancedAssignments:
     @pytest.mark.parametrize("symbols", [(0, 1), (0, 1, 2), (2, 0), (0, 1, 2, 3)])
     def test_matches_product_filter(self, symbols):
@@ -173,15 +218,9 @@ class TestBalancedAssignments:
         # the direction of a pair counts; order q + 1 leaves one element
         # off every vertex label.
         q = max(symbols) + 1
-        tables = [
-            tuple(tuple(op(x, y) % r for y in range(r)) for x in range(r))
-            for r in (q, q + 1)
-            for op in (lambda x, y: x + y, lambda x, y: y - x)
-        ]
+        tables = cyclic_tables(q) + cyclic_tables(q + 1)
         for n in range(9):
-            balanced = [
-                f for f in itertools.product(symbols, repeat=n) if spread(f, symbols) <= 1
-            ]
+            balanced = balanced_assignments(n, symbols)
             pair_sets = [
                 (),
                 tuple((j, j + 1) for j in range(n - 1)),
@@ -190,16 +229,26 @@ class TestBalancedAssignments:
             ]
             for rows in tables:
                 for pairs in pair_sets:
-                    expected = next(
-                        (
-                            f
-                            for f in balanced
-                            if spread([rows[f[u]][f[v]] for u, v in pairs], range(len(rows)))
-                            <= 1
-                        ),
-                        None,
-                    )
+                    expected = first_with_balanced_pairs(balanced, pairs, rows)
                     assert _first_balanced(n, symbols, pairs, rows) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_product_filter_on_dense_pairs(self, data):
+        # Dense pair sets give each vertex many lower pairs, so the walk's
+        # ceil(m/q) cut fires deep in the walk and on counts near the cap;
+        # the fixed pair sets above are paths and stars.
+        rows = data.draw(st.sampled_from(DRAWN_TABLES))
+        shuffled = data.draw(st.permutations(range(len(rows))))
+        symbols = tuple(shuffled[: data.draw(st.integers(1, len(rows)))])
+        n = data.draw(st.integers(0, 8))
+        pairs = list(itertools.combinations(range(n), 2))
+        picks = data.draw(
+            st.lists(st.sampled_from((0, 1, 2)), min_size=len(pairs), max_size=len(pairs))
+        )
+        pairs = [(u, v) if p == 1 else (v, u) for (u, v), p in zip(pairs, picks) if p]
+        expected = first_with_balanced_pairs(balanced_assignments(n, symbols), pairs, rows)
+        assert _first_balanced(n, symbols, pairs, rows) == expected
 
 
 class TestSizeCheck:
